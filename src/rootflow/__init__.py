@@ -2,7 +2,7 @@
 u_t + (1/pi) (arctan(Hu/u))_x = 0 on the circle, with its delta-regularized
 approximation, plus a polynomial-root-differentiation oracle."""
 
-from .spectral import PeriodicGrid, RealField, SpectralField
+from .spectral import PeriodicGrid, RealField
 
-__all__ = ["PeriodicGrid", "RealField", "SpectralField"]
+__all__ = ["PeriodicGrid", "RealField"]
 __version__ = "0.1.0"

@@ -55,9 +55,9 @@ def mass(u: RealField) -> float:
 def dissipation(u: RealField, delta: float) -> float:
     """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx."""
     dynamics._require_positive(u, delta)
-    lu = spectral.frac_laplacian(u).values
-    hu = spectral.hilbert(u).values
-    integrand = u.values * lu**2 / (delta + u.values**2 + hu**2)
+    F = spectral.analytic_signal(u)
+    lu = spectral.analytic_signal(u, dx=True).imag
+    integrand = F.real * lu**2 / (delta + F.real**2 + F.imag**2)
     return float(u.grid.dx * np.sum(integrand))
 
 

@@ -11,21 +11,16 @@ is equivalent, for positive u, to the quasilinear form
     gamma =  (1/pi)  u / (u^2 + (Hu)^2),
 
 with L the half Laplacian.  The regularized problem adds delta to the
-denominators and a delta * u_xx viscosity term.
+denominators and a delta * u_xx viscosity term.  Everything here is read
+off the analytic signal F = u + iHu and its derivative F_x = u_x + iLu.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    RealField,
-    derivative,
-    frac_laplacian,
-    hilbert,
-    pad_values,
-    truncate_values,
-)
+from . import spectral
+from .spectral import RealField
 
 # fields with delta=0 must stay strictly above this floor; rounding noise
 # around an exact zero would otherwise blow up the quotients
@@ -40,7 +35,6 @@ class PositivityError(ValueError):
 class Coefficients:
     V: RealField
     gamma: RealField
-    rho: RealField
     delta: float
 
 
@@ -54,82 +48,39 @@ def _require_positive(u: RealField, delta: float):
 
 
 def coefficients(u: RealField, delta: float) -> Coefficients:
-    """Transport velocity V, dissipation weight gamma, and modulus rho."""
+    """Transport velocity V and dissipation weight gamma."""
     _require_positive(u, delta)
-    hu = hilbert(u).values
-    denom = delta + u.values**2 + hu**2
-    v = -hu / (np.pi * denom)
-    gamma = u.values / (np.pi * denom)
-    rho = np.sqrt(denom)
-    g = u.grid
-    return Coefficients(RealField(g, v), RealField(g, gamma), RealField(g, rho), delta)
-
-
-def _fine_fields(u: RealField):
-    n = u.grid.n
-    n_fine = int(np.ceil(1.5 * n / 2)) * 2
-    uv = pad_values(u.values, n_fine)
-    hu = pad_values(hilbert(u).values, n_fine)
-    lu = pad_values(frac_laplacian(u).values, n_fine)
-    ux = pad_values(derivative(u).values, n_fine)
-    return uv, hu, lu, ux
+    F = spectral.analytic_signal(u)
+    denom = delta + F.real**2 + F.imag**2
+    v = -F.imag / (np.pi * denom)
+    gamma = F.real / (np.pi * denom)
+    return Coefficients(RealField(u.grid, v), RealField(u.grid, gamma), delta)
 
 
 def nonlinear_tendency(u: RealField, delta: float, dealias: bool = False) -> RealField:
-    """The non-viscous tendency -(1/pi)(u Lu - Hu u_x) / (delta + u^2 + (Hu)^2).
+    """The non-viscous tendency -(1/pi) Im(conj(F) F_x) / (delta + |F|^2),
+    that is -(1/pi)(u Lu - Hu u_x) / (delta + u^2 + (Hu)^2).
 
     With delta = 0 this is evaluated through the flux form, which is an
     exact spectral derivative and therefore conserves the grid mean to
-    rounding.  With dealias=True, u, Hu, Lu and u_x are zero-padded to a
-    3/2 finer grid before the pointwise rational expression is formed.
+    rounding.  With dealias=True, F and F_x are sampled on a 3/2 finer grid
+    before the pointwise rational expression is formed.
     """
-    _require_positive(u, delta)
     if delta == 0.0:
         return tendency_flux(u, dealias=dealias)
+    _require_positive(u, delta)
+    F = spectral.analytic_signal(u, dealias)
+    Fx = spectral.analytic_signal(u, dealias, dx=True)
+    out = -(np.conj(F) * Fx).imag / (np.pi * (delta + F.real**2 + F.imag**2))
     if dealias:
-        uv, hu, lu, ux = _fine_fields(u)
-        fine = -(uv * lu - hu * ux) / (np.pi * (delta + uv**2 + hu**2))
-        return RealField(u.grid, truncate_values(fine, u.grid.n))
-    uv = u.values
-    hu = hilbert(u).values
-    lu = frac_laplacian(u).values
-    ux = derivative(u).values
-    out = -(uv * lu - hu * ux) / (np.pi * (delta + uv**2 + hu**2))
+        return spectral.from_spectrum(u.grid, spectral.coarse_spectrum(out, u.grid.n))
     return RealField(u.grid, out)
 
 
-def tendency_regularized(u: RealField, delta: float, dealias: bool = False) -> RealField:
-    """Full regularized tendency, non-viscous part plus delta * u_xx."""
-    _require_positive(u, delta)
-    if delta == 0.0:
-        # identical to the flux form for positive u; keep one code path
-        uv = u.values
-        hu = hilbert(u).values
-        lu = frac_laplacian(u).values
-        ux = derivative(u).values
-        if dealias:
-            uv, hu, lu, ux = _fine_fields(u)
-            fine = -(uv * lu - hu * ux) / (np.pi * (uv**2 + hu**2))
-            return RealField(u.grid, truncate_values(fine, u.grid.n))
-        return RealField(u.grid, -(uv * lu - hu * ux) / (np.pi * (uv**2 + hu**2)))
-    base = nonlinear_tendency(u, delta, dealias=dealias)
-    visc = derivative(derivative(u)).values
-    return RealField(u.grid, base.values + delta * visc)
-
-
 def tendency_flux(u: RealField, dealias: bool = False) -> RealField:
-    """Flux-form tendency -(1/pi) d/dx arctan(Hu/u); mean-zero by construction."""
-    if u.min() <= EPS_POS:
-        raise PositivityError(
-            f"min u = {u.min():.3e} <= {EPS_POS:.0e}; arctan argument degenerates"
-        )
-    if dealias:
-        n = u.grid.n
-        n_fine = int(np.ceil(1.5 * n / 2)) * 2
-        uv = pad_values(u.values, n_fine)
-        hu = pad_values(hilbert(u).values, n_fine)
-        angle = truncate_values(np.arctan2(hu, uv), n)
-    else:
-        angle = np.arctan2(hilbert(u).values, u.values)
-    flux = RealField(u.grid, angle / np.pi)
-    return RealField(u.grid, -derivative(flux).values)
+    """Flux-form tendency -(1/pi) d/dx arg F, where arg F = arctan(Hu/u) for
+    positive u; mean-zero by construction."""
+    _require_positive(u, 0.0)
+    angle = np.angle(spectral.analytic_signal(u, dealias))
+    c = spectral.coarse_spectrum(angle / np.pi, u.grid.n)
+    return spectral.from_spectrum(u.grid, -(c * spectral.derivative_multiplier(u.grid)))

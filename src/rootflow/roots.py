@@ -25,6 +25,8 @@ class RootEnsemble:
         r = np.asarray(self.roots, dtype=float)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("ensemble needs at least one root")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("roots must be finite")
         if np.any(np.diff(r) <= 0):
             raise ValueError("roots must be strictly increasing")
         if r.size != self.n0 - self.k:
@@ -141,22 +143,6 @@ def root_flow(e: RootEnsemble, t: float) -> RootEnsemble:
     return out
 
 
-def _w1_between_cdfs(xs, f1, f2):
-    # both CDFs are piecewise linear on the merged breakpoint grid;
-    # integrate |f1 - f2| exactly, splitting segments at sign changes
-    d = f1 - f2
-    total = 0.0
-    for i in range(len(xs) - 1):
-        w = xs[i + 1] - xs[i]
-        a, b = d[i], d[i + 1]
-        if a * b >= 0:
-            total += 0.5 * abs(a + b) * w
-        else:
-            xc = a / (a - b)
-            total += 0.5 * w * (abs(a) * xc + abs(b) * (1.0 - xc))
-    return total
-
-
 def wasserstein1(e: RootEnsemble, x, density, normalize: bool = True) -> float:
     """W1 distance between the empirical measure of the roots and a density
     given as a table (x, density) on an interval, via the L1 distance of CDFs.
@@ -186,14 +172,12 @@ def wasserstein1(e: RootEnsemble, x, density, normalize: bool = True) -> float:
     breakpoints = np.unique(np.concatenate([x, roots, [lo, hi]]))
     f_dens = np.interp(breakpoints, x, dens_cdf, left=0.0, right=dens_cdf[-1])
     f_emp = root_weight * np.searchsorted(roots, breakpoints, side="right")
-    # the empirical CDF jumps at the roots; account for each jump by
-    # integrating the pre-jump value up to the root and the post-jump
-    # value after it
-    total = 0.0
-    for i in range(len(breakpoints) - 1):
-        a, b = breakpoints[i], breakpoints[i + 1]
-        xs = np.array([a, b])
-        fd = np.array([f_dens[i], f_dens[i + 1]])
-        fe = np.array([f_emp[i], f_emp[i]])  # constant between jumps
-        total += _w1_between_cdfs(xs, fe, fd)
-    return total
+    # the empirical CDF is constant between breakpoints (it jumps at roots,
+    # which are breakpoints) and the density CDF linear, so |F_emp - F_dens|
+    # integrates exactly per segment: a trapezoid where the difference keeps
+    # its sign, two triangles, (a^2 + b^2) / (|a| + |b|), where it changes
+    a = f_emp[:-1] - f_dens[:-1]
+    b = f_emp[:-1] - f_dens[1:]
+    same = a * b >= 0
+    height = np.divide(a * a + b * b, np.abs(a) + np.abs(b), out=np.abs(a + b), where=~same)
+    return float(np.sum(0.5 * np.diff(breakpoints) * height))

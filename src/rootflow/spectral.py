@@ -1,4 +1,5 @@
-"""Periodic grid, transforms, and Fourier-multiplier operators.
+"""Periodic grid, transforms, Fourier-multiplier operators and the
+analytic signal F = f + iHf.
 
 Everything here acts on real 2pi-periodic functions sampled on an
 equispaced grid.  Fields are stored in physical space; the spectral
@@ -15,10 +16,9 @@ Conventions:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-ROUNDTRIP_RTOL = 1e-12
 
 
 class GridMismatchError(ValueError):
@@ -77,36 +77,28 @@ class RealField:
     def mean(self) -> float:
         return float(self.values.mean())
 
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Hermitian half-spectrum: coeffs[k] = c_k for k = 0..n/2."""
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.n // 2 + 1,):
-            raise ValueError(
-                f"expected {self.grid.n // 2 + 1} coefficients, got shape {c.shape}"
-            )
-        c = c.copy()
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft of the samples, n c_k for k = 0..n/2, computed once."""
+        c = np.fft.rfft(self.values)
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return c
 
 
-def forward(f: RealField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.rfft(f.values) / f.grid.n)
-
-
-def inverse(F: SpectralField) -> RealField:
-    return RealField(F.grid, np.fft.irfft(F.coeffs * F.grid.n, n=F.grid.n))
+def from_spectrum(grid: PeriodicGrid, c: np.ndarray) -> RealField:
+    """The field whose rfft is c, which it keeps, read-only, as its spectrum.
+    The samples come fresh from irfft, so RealField's copy and finiteness
+    check are skipped: a caller whose c may be non-finite checks the samples."""
+    f = object.__new__(RealField)
+    values = np.fft.irfft(c, n=grid.n)
+    values.setflags(write=False)
+    c.setflags(write=False)
+    f.__dict__.update(grid=grid, values=values, spectrum=c)
+    return f
 
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
-    c = np.fft.rfft(f.values) * mult
-    return RealField(f.grid, np.fft.irfft(c, n=f.grid.n))
+    return from_spectrum(f.grid, f.spectrum * mult)
 
 
 def hilbert(f: RealField) -> RealField:
@@ -123,10 +115,14 @@ def hilbert(f: RealField) -> RealField:
 
 def derivative(f: RealField) -> RealField:
     """Spectral d/dx, with the Nyquist mode zeroed."""
-    k = f.grid.wavenumbers
-    mult = 1j * k.astype(complex)
+    return _apply_multiplier(f, derivative_multiplier(f.grid))
+
+
+def derivative_multiplier(grid: PeriodicGrid) -> np.ndarray:
+    """i k on the rfft layout, with the Nyquist mode zeroed."""
+    mult = 1j * grid.wavenumbers.astype(complex)
     mult[-1] = 0.0
-    return _apply_multiplier(f, mult)
+    return mult
 
 
 def frac_laplacian(f: RealField) -> RealField:
@@ -138,8 +134,13 @@ def heat_propagate(f: RealField, tau: float) -> RealField:
     """Apply the heat semigroup exp(tau d^2/dx^2), tau >= 0."""
     if tau < 0:
         raise ValueError(f"heat propagation time must be >= 0, got {tau}")
-    k = f.grid.wavenumbers.astype(float)
-    return _apply_multiplier(f, np.exp(-tau * k * k))
+    return _apply_multiplier(f, heat_multiplier(f.grid, tau))
+
+
+def heat_multiplier(grid: PeriodicGrid, tau: float) -> np.ndarray:
+    """exp(-tau k^2) on the rfft layout."""
+    k = grid.wavenumbers.astype(float)
+    return np.exp(-tau * k * k)
 
 
 def frac_laplacian_kernel(f: RealField, m: int) -> RealField:
@@ -155,7 +156,7 @@ def frac_laplacian_kernel(f: RealField, m: int) -> RealField:
     if m < 2:
         raise ValueError("need at least 2 quadrature nodes")
     grid = f.grid
-    c = np.fft.rfft(f.values)
+    c = f.spectrum
     k = grid.wavenumbers
     alphas = (np.arange(m) + 0.5) * 2.0 * np.pi / m
     acc = np.zeros(grid.n)
@@ -166,14 +167,6 @@ def frac_laplacian_kernel(f: RealField, m: int) -> RealField:
     return RealField(grid, acc)
 
 
-def _half_spectrum_weights(n):
-    # multiplicity of each rfft bin in the full +/-k spectrum
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    return w
-
-
 def sobolev_seminorm(f: RealField, s: float) -> float:
     """Homogeneous Sobolev seminorm (2 pi sum_{k!=0} |k|^(2s) |c_k|^2)^(1/2).
 
@@ -181,12 +174,12 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
     applied to f; the mean never contributes.  Negative s is only
     meaningful on mean-zero fields.
     """
-    c = np.fft.rfft(f.values) / f.grid.n
+    c = f.spectrum / f.grid.n
     if s < 0 and abs(c[0]) > 1e-13 * (1.0 + np.abs(c).max()):
         raise ValueError("negative-order seminorm requires a mean-zero field")
-    k = f.grid.wavenumbers.astype(float)
-    w = _half_spectrum_weights(f.grid.n)
-    total = np.sum(w[1:] * k[1:] ** (2.0 * s) * np.abs(c[1:]) ** 2)
+    k = f.grid.wavenumbers[1:].astype(float)
+    w = np.where(k < f.grid.kmax, 2.0, 1.0)  # each bin but Nyquist stands for +/-k
+    total = np.sum(w * k ** (2.0 * s) * np.abs(c[1:]) ** 2)
     return float(np.sqrt(2.0 * np.pi * total))
 
 
@@ -200,21 +193,43 @@ def check_same_grid(*fields):
         raise GridMismatchError(f"fields live on different grids: {sorted(grids)}")
 
 
-def pad_values(values: np.ndarray, n_fine: int) -> np.ndarray:
-    """Spectrally interpolate samples onto a finer equispaced grid."""
-    n = values.shape[0]
-    c = np.fft.rfft(values) / n
-    c_fine = np.zeros(n_fine // 2 + 1, dtype=complex)
-    c_fine[: n // 2 + 1] = c
-    # the coarse Nyquist bin covers +/- n/2 jointly; split it evenly
-    c_fine[n // 2] = 0.5 * c[n // 2].real
-    return np.fft.irfft(c_fine * n_fine, n=n_fine)
+def analytic_signal(f: RealField, dealias: bool = False, dx: bool = False) -> np.ndarray:
+    """F = f + iHf, or with dx its derivative F_x = f_x + iLf, on the n-point
+    grid or, with dealias, on the 3/2 grid; computed once per field and kept.
+
+    On the n-point grid Re F and Im F are f and hilbert(f) bit for bit, and
+    Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to rounding.
+    """
+    cache = f.__dict__.setdefault("_analytic", {})
+    if (dealias, dx) not in cache:
+        n, half = f.grid.n, f.grid.kmax
+        if not (dealias or dx):
+            # Re F is f itself, so one real transform gives the rest
+            F = f.values + 1j * hilbert(f).values
+        else:
+            m = int(np.ceil(1.5 * n / 2)) * 2 if dealias else n
+            c = f.spectrum * (m / n)
+            # F keeps the mean once and each 0 < k < n/2 twice; H zeroes the
+            # Nyquist mode, so F carries cos(n/2 x) as f does, split evenly
+            # between +/- n/2 (one bin when m = n)
+            spec = np.zeros(m, dtype=complex)
+            spec[:half] = 2.0 * c[:half]
+            spec[0] = c[0]
+            spec[half] = 0.5 * c[half].real
+            spec[m - half] += 0.5 * c[half].real
+            if dx:
+                # d/dx zeroes the Nyquist mode and L keeps it: F_x = i|k| F
+                k = np.arange(m)
+                spec *= 1j * np.minimum(k, m - k)
+            F = np.fft.ifft(spec)
+        F.setflags(write=False)
+        cache[dealias, dx] = F
+    return cache[dealias, dx]
 
 
-def truncate_values(values_fine: np.ndarray, n: int) -> np.ndarray:
-    """Project samples on a fine grid back onto the coarse n-point grid."""
-    n_fine = values_fine.shape[0]
-    c_fine = np.fft.rfft(values_fine) / n_fine
-    c = c_fine[: n // 2 + 1].copy()
-    c[-1] = c[-1].real  # coarse Nyquist bin must be real
-    return np.fft.irfft(c * n, n=n)
+def coarse_spectrum(values: np.ndarray, n: int) -> np.ndarray:
+    """rfft, on the n-point scale, of samples on the n-point grid or on a finer
+    one, whose spectrum is cut to k <= n/2 with a real Nyquist bin."""
+    c = np.fft.rfft(values)[: n // 2 + 1] * (n / values.shape[0])
+    c[-1] = c[-1].real
+    return c

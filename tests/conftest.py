@@ -29,6 +29,43 @@ def smooth_positive_field(grid: PeriodicGrid, rng, floor=0.5, decay=0.5, amp=1.0
     return RealField(grid, vals - vals.min() + floor)
 
 
+def direct_interpolant(values, m):
+    """Trigonometric interpolant of n samples evaluated on the m-point grid
+    by a direct Fourier sum; the Nyquist mode enters as c_{n/2} cos(n/2 x)."""
+    n = values.shape[0]
+    x = 2 * np.pi * np.arange(m) / m
+    c = np.fft.rfft(values) / n
+    out = np.full(m, c[0].real)
+    for k in range(1, n // 2):
+        out += 2 * (c[k] * np.exp(1j * k * x)).real
+    out += (c[-1] * np.exp(1j * (n // 2) * x)).real
+    return out
+
+
+def direct_projection(values, n):
+    """Samples on the n-point grid of the trigonometric polynomial of degree
+    n/2 whose coefficients a direct Fourier sum takes from samples on that
+    grid or a finer one; the Nyquist coefficient keeps its real part."""
+    m = values.shape[0]
+    x_fine = 2 * np.pi * np.arange(m) / m
+    x = 2 * np.pi * np.arange(n) / n
+    out = np.full(n, values.mean())
+    for k in range(1, n // 2 + 1):
+        c = np.sum(values * np.exp(-1j * k * x_fine)) / m
+        if k < n // 2:
+            out += 2 * (c * np.exp(1j * k * x)).real
+        else:
+            out += c.real * np.cos(k * x)
+    return out
+
+
+def field_with_nyquist(grid, rng, floor=0.5):
+    """Positive band-limited field plus a nonzero Nyquist mode."""
+    f = band_limited_field(grid, rng)
+    v = f.values + 0.1 * np.cos(grid.kmax * grid.points)
+    return RealField(grid, v - v.min() + floor)
+
+
 @pytest.fixture
 def grid():
     return PeriodicGrid(256)

@@ -7,7 +7,13 @@ from rootflow import dynamics, spectral
 from rootflow.dynamics import PositivityError
 from rootflow.spectral import PeriodicGrid, RealField
 
-from conftest import positive_band_limited_field, smooth_positive_field
+from conftest import (
+    direct_interpolant,
+    direct_projection,
+    field_with_nyquist,
+    positive_band_limited_field,
+    smooth_positive_field,
+)
 
 
 class TestCoefficients:
@@ -17,13 +23,11 @@ class TestCoefficients:
         co = dynamics.coefficients(u, 0.0)
         assert np.abs(co.V.values).max() < 1e-12
         assert np.abs(co.gamma.values - 1.0 / (np.pi * c)).max() < 1e-12
-        assert np.abs(co.rho.values - c).max() < 1e-12
 
     def test_delta_enters_denominator(self, grid):
         u = RealField(grid, np.full(grid.n, 1.0))
         co = dynamics.coefficients(u, 0.5)
         assert np.abs(co.gamma.values - 1.0 / (np.pi * 1.5)).max() < 1e-12
-        assert np.abs(co.rho.values - np.sqrt(1.5)).max() < 1e-12
 
     @given(seed=st.integers(0, 2**16), delta=st.sampled_from([0.0, 1e-3, 1e-1]))
     @settings(max_examples=30, deadline=None)
@@ -36,7 +40,6 @@ class TestCoefficients:
         c0 = u.min()
         assert co.gamma.max() <= 1.0 / (np.pi * c0) + 1e-12
         assert np.abs(co.V.values).max() <= 1.0 / (2.0 * np.pi * c0) + 1e-12
-        assert co.rho.min() >= np.sqrt(delta + c0**2) - 1e-12
 
     def test_rejects_nonpositive_at_delta_zero(self, grid):
         u = RealField(grid, np.cos(grid.points))
@@ -63,7 +66,11 @@ class TestTendencies:
         # so the field must be analytic, not merely band-limited
         u = smooth_positive_field(grid, rng)
         a = dynamics.tendency_flux(u).values
-        b = dynamics.tendency_regularized(u, 0.0).values
+        uv = u.values
+        hu = spectral.hilbert(u).values
+        lu = spectral.frac_laplacian(u).values
+        ux = spectral.derivative(u).values
+        b = -(uv * lu - hu * ux) / (np.pi * (uv**2 + hu**2))
         assert np.abs(a - b).max() < 1e-10
 
     def test_nonlinear_tendency_dispatches_to_flux(self, grid, rng):
@@ -72,19 +79,32 @@ class TestTendencies:
         b = dynamics.tendency_flux(u).values
         assert np.array_equal(a, b)
 
-    def test_regularized_adds_viscosity(self, grid, rng):
-        u = positive_band_limited_field(grid, rng)
-        delta = 1e-2
-        base = dynamics.nonlinear_tendency(u, delta).values
-        full = dynamics.tendency_regularized(u, delta).values
-        uxx = spectral.derivative(spectral.derivative(u)).values
-        assert np.abs(full - base - delta * uxx).max() < 1e-13
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_matches_multiplier_reference(self, rng, delta, dealias):
+        # reference from the spectral multipliers: the rational form for
+        # delta > 0 and -(1/pi) d/dx arctan(Hu/u) at delta = 0, formed on
+        # the n-point or the 3/2 grid and projected by direct Fourier sums
+        grid = PeriodicGrid(64)
+        u = field_with_nyquist(grid, rng)
+        parts = [u, spectral.hilbert(u), spectral.frac_laplacian(u), spectral.derivative(u)]
+        m = 3 * grid.n // 2 if dealias else grid.n
+        uv, hu, lu, ux = (direct_interpolant(f.values, m) for f in parts)
+        if delta == 0.0:
+            angle = RealField(grid, direct_projection(np.arctan2(hu, uv), grid.n))
+            ref = -spectral.derivative(angle).values / np.pi
+        else:
+            rate = -(uv * lu - hu * ux) / (np.pi * (delta + uv**2 + hu**2))
+            ref = direct_projection(rate, grid.n)
+        out = dynamics.nonlinear_tendency(u, delta, dealias=dealias).values
+        assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_constant_is_steady(self, grid):
         u = RealField(grid, np.full(grid.n, 2.0))
         for delta in (0.0, 1e-2):
-            out = dynamics.tendency_regularized(u, delta)
-            assert np.abs(out.values).max() < 1e-12
+            for dealias in (False, True):
+                out = dynamics.nonlinear_tendency(u, delta, dealias=dealias)
+                assert np.abs(out.values).max() < 1e-12
 
     def test_delta_zero_limit(self, grid, rng):
         u = smooth_positive_field(grid, rng, floor=1.0)

@@ -24,6 +24,12 @@ class TestEnsemble:
         e = RootEnsemble(np.array([0.0, 1.0]), n0=2)
         assert len(e) == 2 and e.span == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_roots(self, bad):
+        # np.diff(r) <= 0 is False for NaN, so ordering alone lets NaN through
+        with pytest.raises(ValueError, match="finite"):
+            RootEnsemble(np.array([0.0, 1.0, bad, 3.0]), n0=4)
+
 
 class TestDerivativeRoots:
     def test_symmetric_cubic(self):
@@ -177,3 +183,30 @@ class TestWasserstein:
         e = RootEnsemble(np.array([0.5]), n0=1)
         with pytest.raises(ValueError):
             roots.wasserstein1(e, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_segment_loop(self, normalize):
+        # reference: integrate |F_emp - F_dens| segment by segment, splitting
+        # a segment where the difference changes sign
+        rng = np.random.default_rng(7)
+        e = RootEnsemble(np.sort(rng.uniform(-1.5, 1.5, size=300)), n0=300)
+        x = np.linspace(-1.0, 1.0, 801)
+        dens = np.sqrt(1.0 - x**2)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
+        weight = 1.0
+        if normalize:
+            cdf, weight = cdf / cdf[-1], 1.0 / len(e)
+        xs = np.unique(np.concatenate([x, e.roots]))
+        f_dens = np.interp(xs, x, cdf, left=0.0, right=cdf[-1])
+        f_emp = weight * np.searchsorted(e.roots, xs, side="right")
+        ref = 0.0
+        for i in range(len(xs) - 1):
+            w = xs[i + 1] - xs[i]
+            a, b = f_emp[i] - f_dens[i], f_emp[i] - f_dens[i + 1]
+            if a * b >= 0:
+                ref += 0.5 * abs(a + b) * w
+            else:
+                xc = a / (a - b)
+                ref += 0.5 * w * (abs(a) * xc + abs(b) * (1.0 - xc))
+        got = roots.wasserstein1(e, x, dens, normalize=normalize)
+        assert got == pytest.approx(ref, rel=1e-12)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootflow import spectral
-from rootflow.spectral import GridMismatchError, PeriodicGrid, RealField, SpectralField
+from rootflow.spectral import GridMismatchError, PeriodicGrid, RealField
 
-from conftest import band_limited_field
+from conftest import band_limited_field, direct_interpolant, field_with_nyquist
 
 
 class TestGrid:
@@ -38,18 +38,14 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_spectral_field_shape(self, grid):
-        with pytest.raises(ValueError):
-            SpectralField(grid, np.zeros(grid.n, dtype=complex))
-
     def test_roundtrip(self, grid, rng):
         f = band_limited_field(grid, rng)
-        back = spectral.inverse(spectral.forward(f))
+        back = spectral.from_spectrum(grid, f.spectrum)
         assert np.abs(back.values - f.values).max() < 1e-13
 
     def test_mean_is_zeroth_coefficient(self, grid, rng):
         f = band_limited_field(grid, rng, offset=2.5)
-        c = spectral.forward(f).coeffs
+        c = f.spectrum / grid.n
         assert c[0].real == pytest.approx(f.mean(), abs=1e-14)
 
 
@@ -156,23 +152,48 @@ class TestNorms:
         assert spectral.l2_norm(f) == pytest.approx(2.0 * np.sqrt(2 * np.pi), rel=1e-12)
 
 
+class TestAnalyticSignal:
+    def test_parts_match_the_multipliers(self, grid, rng):
+        f = RealField(grid, rng.normal(size=grid.n))
+        F = spectral.analytic_signal(f)
+        Fx = spectral.analytic_signal(f, dx=True)
+        pairs = [
+            (F.real, f.values),
+            (F.imag, spectral.hilbert(f).values),
+            (Fx.real, spectral.derivative(f).values),
+            (Fx.imag, spectral.frac_laplacian(f).values),
+        ]
+        for got, want in pairs:
+            assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_computed_once_per_field(self, grid, rng):
+        f = band_limited_field(grid, rng)
+        for dealias in (False, True):
+            for dx in (False, True):
+                F = spectral.analytic_signal(f, dealias, dx)
+                assert spectral.analytic_signal(f, dealias, dx) is F
+
+
 class TestPadding:
     def test_pad_is_exact_interpolation(self, rng):
+        # the 3/2-grid pair samples the trigonometric interpolants of u + iHu
+        # and u_x + iLu, with the Nyquist mode as c_{n/2} cos(n/2 x)
         grid = PeriodicGrid(64)
-        f = band_limited_field(grid, rng, offset=1.0)
-        fine = spectral.pad_values(f.values, 96)
-        x_fine = 2 * np.pi * np.arange(96) / 96
-        c = np.fft.rfft(f.values) / grid.n
-        direct = np.full(96, c[0].real)
-        for k in range(1, grid.n // 2):
-            direct += 2 * (c[k] * np.exp(1j * k * x_fine)).real
-        direct += (c[-1] * np.exp(1j * (grid.n // 2) * x_fine)).real
-        assert np.abs(fine - direct).max() < 1e-12
+        f = field_with_nyquist(grid, rng)
+        assert abs(f.spectrum[-1]) > 1.0
+        m = 96
+        parts = [spectral.hilbert(f), spectral.derivative(f), spectral.frac_laplacian(f)]
+        u, hu, ux, lu = (direct_interpolant(g.values, m) for g in (f, *parts))
+        F = spectral.analytic_signal(f, dealias=True)
+        Fx = spectral.analytic_signal(f, dealias=True, dx=True)
+        assert np.abs(F - (u + 1j * hu)).max() < 1e-12
+        assert np.abs(Fx - (ux + 1j * lu)).max() < 1e-12
 
     def test_pad_truncate_roundtrip(self, rng):
         grid = PeriodicGrid(64)
         f = band_limited_field(grid, rng, offset=0.3)
-        back = spectral.truncate_values(spectral.pad_values(f.values, 96), grid.n)
+        fine = spectral.analytic_signal(f, dealias=True).real
+        back = np.fft.irfft(spectral.coarse_spectrum(fine, grid.n), n=grid.n)
         assert np.abs(back - f.values).max() < 1e-13
 
     @given(seed=st.integers(0, 2**16))
@@ -180,7 +201,8 @@ class TestPadding:
     def test_pad_preserves_mean(self, seed):
         grid = PeriodicGrid(32)
         f = band_limited_field(grid, np.random.default_rng(seed), offset=0.7)
-        fine = spectral.pad_values(f.values, 48)
+        fine = spectral.analytic_signal(f, dealias=True).real
+        assert fine.size == 48
         assert fine.mean() == pytest.approx(f.values.mean(), abs=1e-13)
 
 
