@@ -90,7 +90,6 @@ SCHEMA = {
         "cfl": (float, 0.4, lambda v: 0 < v <= 1, "in (0, 1]"),
         "dt_max": (float, math.inf, lambda v: v > 0, "> 0"),
         "snapshot_times": (_parse_float_list, (), None, ""),
-        "dealias": (_parse_bool, False, None, ""),
         "pos_floor": (float, 1e-10, None, ""),
         "seed": (int, 0, lambda v: v >= 0, ">= 0"),
     },
@@ -109,7 +108,12 @@ SCHEMA = {
         "bump_floor": (float, 5e-3, lambda v: v > 0, "> 0"),
     },
     "sweep": {
-        "deltas": (_parse_float_list, (1e-2, 5e-3, 2.5e-3, 1.25e-3), None, ""),
+        "deltas": (
+            _parse_float_list,
+            (1e-2, 5e-3, 2.5e-3, 1.25e-3),
+            lambda v: all(d > 0 for d in v) and all(b < a for a, b in zip(v, v[1:])),
+            "positive and strictly decreasing",
+        ),
     },
     "smoothing": {
         "s": (float, 2.0, lambda v: v > 0, "> 0"),
@@ -124,7 +128,7 @@ SCHEMA = {
         "linearity_tol": (float, 0.2, lambda v: v > 0, "> 0"),
     },
     "roots": {
-        "counts": (_parse_int_list, (100, 200, 400), None, ""),
+        "counts": (_parse_int_list, (100, 200, 400), lambda v: all(c >= 2 for c in v), "integers >= 2"),
         "t": (float, 0.3, lambda v: 0 <= v < 1, "in [0, 1)"),
         "margin": (float, 0.5, lambda v: 0 < v < np.pi, "in (0, pi)"),
         "w1_max": (float, 0.1, lambda v: v > 0, "> 0"),
@@ -326,9 +330,12 @@ def build_initial(cfg):
 
 
 def solver_config(cfg, **overrides):
-    s = dict(cfg["solver"])
-    s.update(overrides)
-    return SolverConfig(**s)
+    s = {**cfg["solver"], **overrides}
+    del s["seed"]  # it seeds the initial data, not the solver
+    try:
+        return SolverConfig(**s)
+    except ValueError as exc:
+        raise ConfigError(f"bad solver settings: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +399,8 @@ def cmd_smoothing(cfg, out):
     summary = Summary()
     summary.note("sup_weighted", report.sup_weighted)
     summary.note("sup_time", report.sup_time)
+    for t, norm in report.norms:
+        summary.note(f"norm_t_{t:.6g}", norm)
     bound = -(sm["s"] + sm["eps0"]) * (1.0 + sm["slack"])
     summary.check("smoothing", "loglog_slope", report.slope, bound, report.passes(sm["slack"]))
     return summary
@@ -549,6 +558,9 @@ def main(argv=None):
 
     try:
         summary = COMMANDS[args.command](cfg, args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODES["config"]
     except SolverAbort as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_CODES["abort"]

@@ -35,6 +35,7 @@ class SmoothingReport:
     sup_weighted: float
     sup_time: float
     slope: float
+    norms: tuple = ()  # (t, H^{1/2+s} seminorm) at each snapshot the fit used
 
     def passes(self, slack: float) -> bool:
         return self.slope >= -(self.s + self.eps0) * (1.0 + slack)
@@ -120,6 +121,7 @@ def smoothing_fit(traj, s: float, eps0: float, t_min: float) -> SmoothingReport:
         sup_weighted=float(weighted[i_sup]),
         sup_time=float(times[i_sup]),
         slope=slope,
+        norms=tuple(zip(times.tolist(), norms.tolist())),
     )
 
 

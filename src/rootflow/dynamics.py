@@ -57,30 +57,26 @@ def coefficients(u: RealField, delta: float) -> Coefficients:
     return Coefficients(RealField(u.grid, v), RealField(u.grid, gamma), delta)
 
 
-def nonlinear_tendency(u: RealField, delta: float, dealias: bool = False) -> RealField:
+def nonlinear_tendency(u: RealField, delta: float) -> RealField:
     """The non-viscous tendency -(1/pi) Im(conj(F) F_x) / (delta + |F|^2),
     that is -(1/pi)(u Lu - Hu u_x) / (delta + u^2 + (Hu)^2).
 
     With delta = 0 this is evaluated through the flux form, which is an
     exact spectral derivative and therefore conserves the grid mean to
-    rounding.  With dealias=True, F and F_x are sampled on a 3/2 finer grid
-    before the pointwise rational expression is formed.
+    rounding.
     """
     if delta == 0.0:
-        return tendency_flux(u, dealias=dealias)
+        return tendency_flux(u)
     _require_positive(u, delta)
-    F = spectral.analytic_signal(u, dealias)
-    Fx = spectral.analytic_signal(u, dealias, dx=True)
+    F = spectral.analytic_signal(u)
+    Fx = spectral.analytic_signal(u, dx=True)
     out = -(np.conj(F) * Fx).imag / (np.pi * (delta + F.real**2 + F.imag**2))
-    if dealias:
-        return spectral.from_spectrum(u.grid, spectral.coarse_spectrum(out, u.grid.n))
     return RealField(u.grid, out)
 
 
-def tendency_flux(u: RealField, dealias: bool = False) -> RealField:
+def tendency_flux(u: RealField) -> RealField:
     """Flux-form tendency -(1/pi) d/dx arg F, where arg F = arctan(Hu/u) for
     positive u; mean-zero by construction."""
     _require_positive(u, 0.0)
-    angle = np.angle(spectral.analytic_signal(u, dealias))
-    c = spectral.coarse_spectrum(angle / np.pi, u.grid.n)
+    c = np.fft.rfft(np.angle(spectral.analytic_signal(u)) / np.pi)
     return spectral.from_spectrum(u.grid, -(c * spectral.derivative_multiplier(u.grid)))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics, spectral
+from .diagnostics import dissipation, mass
 from .spectral import PeriodicGrid, RealField
 
 
@@ -26,9 +27,7 @@ class SolverConfig:
     cfl: float = 0.5
     dt_max: float = np.inf
     snapshot_times: tuple = ()
-    dealias: bool = False
     pos_floor: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.t_end < 0:
@@ -51,7 +50,6 @@ class SolverConfig:
 class SolverState:
     t: float
     u: RealField
-    step_count: int = 0
     last_dt: float = 0.0
 
 
@@ -75,12 +73,6 @@ class Trajectory:
     def times(self):
         return [t for t, _ in self.snapshots]
 
-    def field_at(self, t: float) -> RealField:
-        for ts, u in self.snapshots:
-            if abs(ts - t) <= 1e-12 * max(1.0, abs(t)):
-                return u
-        raise KeyError(f"no snapshot at t={t}")
-
 
 def mollified_initial(u0: RealField, delta: float) -> RealField:
     """Initial data of the regularized problem: heat-mollify u0 by delta."""
@@ -90,23 +82,16 @@ def mollified_initial(u0: RealField, delta: float) -> RealField:
 
 
 def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
-    """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
-    shrunk so the step lands exactly on the next snapshot or t_end."""
+    """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max)."""
     coeffs = dynamics.coefficients(state.u, cfg.delta)
     gmax = coeffs.gamma.max()
     vmax = float(np.abs(coeffs.V.values).max())
     grid = state.u.grid
-    dt = cfg.cfl * min(
+    return cfg.cfl * min(
         1.0 / (max(gmax, 1e-300) * grid.kmax),
         grid.dx / max(vmax, 1e-300),
         cfg.dt_max,
     )
-    return min(dt, _time_to_next_boundary(state.t, cfg))
-
-
-def _time_to_next_boundary(t: float, cfg: SolverConfig) -> float:
-    boundaries = [s for s in cfg.snapshot_times if s > t + 1e-13] + [cfg.t_end]
-    return min(boundaries) - t
 
 
 def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
@@ -116,9 +101,9 @@ def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
     u = state.u
     decay = spectral.heat_multiplier(u.grid, cfg.delta * dt)
     try:
-        k1 = dynamics.nonlinear_tendency(u, cfg.delta, dealias=cfg.dealias)
+        k1 = dynamics.nonlinear_tendency(u, cfg.delta)
         pred = spectral.from_spectrum(u.grid, (u.spectrum + dt * k1.spectrum) * decay)
-        k2 = dynamics.nonlinear_tendency(pred, cfg.delta, dealias=cfg.dealias)
+        k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
     except dynamics.PositivityError as exc:
         raise SolverAbort(f"stage positivity loss at t={state.t:.6g}: {exc}") from exc
     c_new = (u.spectrum + 0.5 * dt * k1.spectrum) * decay + 0.5 * dt * k2.spectrum
@@ -130,12 +115,10 @@ def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
             f"positivity lost at t={state.t + dt:.6g}: "
             f"min u = {u_new.min():.3e} <= floor {cfg.pos_floor:.1e}"
         )
-    return SolverState(t=state.t + dt, u=u_new, step_count=state.step_count + 1, last_dt=dt)
+    return SolverState(t=state.t + dt, u=u_new, last_dt=dt)
 
 
 def _record(state: SolverState, delta: float) -> StepRecord:
-    from .diagnostics import dissipation, mass
-
     u = state.u
     return StepRecord(
         t=state.t,
@@ -151,8 +134,8 @@ def _record(state: SolverState, delta: float) -> StepRecord:
 def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     """Integrate from the mollified initial data to t_end.
 
-    Snapshots are recorded at t=0, at every requested snapshot time
-    (steps land on them exactly), and at t_end.  A scalar record is
+    Snapshots are recorded at t=0, at every distinct requested snapshot time
+    and at t_end, which steps land on exactly.  A scalar record is
     appended for the initial state and after every accepted step.
     """
     u = mollified_initial(u0, cfg.delta)
@@ -164,16 +147,15 @@ def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     traj = Trajectory()
     traj.snapshots.append((0.0, u))
     traj.records.append(_record(state, cfg.delta))
-    pending = [s for s in cfg.snapshot_times if s > 1e-13]
-    while state.t < cfg.t_end - 1e-13:
-        dt = stable_dt(state, cfg)
-        state = step(state, dt, cfg)
-        traj.records.append(_record(state, cfg.delta))
-        if pending and abs(state.t - pending[0]) <= 1e-11:
-            traj.snapshots.append((pending[0], state.u))
-            pending.pop(0)
-    if not traj.snapshots or abs(traj.snapshots[-1][0] - cfg.t_end) > 1e-11:
-        traj.snapshots.append((cfg.t_end, state.u))
+    for stop in sorted({*cfg.snapshot_times, cfg.t_end} - {0.0}):
+        while state.t < stop:
+            dt = stable_dt(state, cfg)
+            if state.t + dt >= stop:
+                state = replace(step(state, stop - state.t, cfg), t=stop)
+            else:
+                state = step(state, dt, cfg)
+            traj.records.append(_record(state, cfg.delta))
+        traj.snapshots.append((stop, state.u))
     return traj
 
 

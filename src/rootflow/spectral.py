@@ -16,7 +16,7 @@ Conventions:
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,10 +177,17 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
     c = f.spectrum / f.grid.n
     if s < 0 and abs(c[0]) > 1e-13 * (1.0 + np.abs(c).max()):
         raise ValueError("negative-order seminorm requires a mean-zero field")
-    k = f.grid.wavenumbers[1:].astype(float)
-    w = np.where(k < f.grid.kmax, 2.0, 1.0)  # each bin but Nyquist stands for +/-k
-    total = np.sum(w * k ** (2.0 * s) * np.abs(c[1:]) ** 2)
+    total = np.sum(_seminorm_weights(f.grid, s) * np.abs(c[1:]) ** 2)
     return float(np.sqrt(2.0 * np.pi * total))
+
+
+@lru_cache(maxsize=32)
+def _seminorm_weights(grid: PeriodicGrid, s: float) -> np.ndarray:
+    """w_k |k|^(2s) for k = 1..n/2: w_k = 2, as bin k stands for +/-k, but 1 at Nyquist."""
+    k = grid.wavenumbers[1:].astype(float)
+    weights = np.where(k < grid.kmax, 2.0, 1.0) * k ** (2.0 * s)
+    weights.setflags(write=False)
+    return weights
 
 
 def l2_norm(f: RealField) -> float:
@@ -193,43 +200,24 @@ def check_same_grid(*fields):
         raise GridMismatchError(f"fields live on different grids: {sorted(grids)}")
 
 
-def analytic_signal(f: RealField, dealias: bool = False, dx: bool = False) -> np.ndarray:
-    """F = f + iHf, or with dx its derivative F_x = f_x + iLf, on the n-point
-    grid or, with dealias, on the 3/2 grid; computed once per field and kept.
-
-    On the n-point grid Re F and Im F are f and hilbert(f) bit for bit, and
-    Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to rounding.
-    """
+def analytic_signal(f: RealField, dx: bool = False) -> np.ndarray:
+    """F = f + iHf, or with dx its derivative F_x = f_x + iLf, computed once
+    per field and kept.  Re F and Im F are f and hilbert(f) bit for bit, and
+    Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to rounding."""
     cache = f.__dict__.setdefault("_analytic", {})
-    if (dealias, dx) not in cache:
-        n, half = f.grid.n, f.grid.kmax
-        if not (dealias or dx):
+    if dx not in cache:
+        if dx:
+            # F_x = i|k| F, where F holds each 0 < k < n/2 twice and the
+            # Nyquist mode, which H zeroes and L keeps, once, as f does
+            n, half = f.grid.n, f.grid.kmax
+            spec = np.zeros(n, dtype=complex)
+            spec[:half] = 2.0 * f.spectrum[:half]
+            spec[half] = f.spectrum[half].real
+            k = np.arange(n)
+            F = np.fft.ifft(spec * (1j * np.minimum(k, n - k)))
+        else:
             # Re F is f itself, so one real transform gives the rest
             F = f.values + 1j * hilbert(f).values
-        else:
-            m = int(np.ceil(1.5 * n / 2)) * 2 if dealias else n
-            c = f.spectrum * (m / n)
-            # F keeps the mean once and each 0 < k < n/2 twice; H zeroes the
-            # Nyquist mode, so F carries cos(n/2 x) as f does, split evenly
-            # between +/- n/2 (one bin when m = n)
-            spec = np.zeros(m, dtype=complex)
-            spec[:half] = 2.0 * c[:half]
-            spec[0] = c[0]
-            spec[half] = 0.5 * c[half].real
-            spec[m - half] += 0.5 * c[half].real
-            if dx:
-                # d/dx zeroes the Nyquist mode and L keeps it: F_x = i|k| F
-                k = np.arange(m)
-                spec *= 1j * np.minimum(k, m - k)
-            F = np.fft.ifft(spec)
         F.setflags(write=False)
-        cache[dealias, dx] = F
-    return cache[dealias, dx]
-
-
-def coarse_spectrum(values: np.ndarray, n: int) -> np.ndarray:
-    """rfft, on the n-point scale, of samples on the n-point grid or on a finer
-    one, whose spectrum is cut to k <= n/2 with a real Nyquist bin."""
-    c = np.fft.rfft(values)[: n // 2 + 1] * (n / values.shape[0])
-    c[-1] = c[-1].real
-    return c
+        cache[dx] = F
+    return cache[dx]

@@ -19,11 +19,11 @@ class TestConfigParsing:
 
     def test_values_and_comments(self):
         cfg = cli.parse_config(
-            "[grid]\nn = 128  # coarse\n[solver]\ndelta = 1e-3\ndealias = true\n"
+            "[grid]\nn = 128  # coarse\n[solver]\ndelta = 1e-3\n[roots]\nnormalize = false\n"
         )
         assert cfg["grid"]["n"] == 128
         assert cfg["solver"]["delta"] == 1e-3
-        assert cfg["solver"]["dealias"] is True
+        assert cfg["roots"]["normalize"] is False
 
     @pytest.mark.parametrize(
         "text",
@@ -180,6 +180,23 @@ class TestMain:
         assert rc == 0
         resolved = (tmp_path / "out" / "resolved.cfg").read_text()
         assert "n = 128" in resolved
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("solve", "solver.snapshot_times=2"),
+            ("smoothing", "smoothing.t_min=5"),
+            ("sweep-delta", "sweep.deltas=1e-3,1e-2"),
+            ("roots-compare", "roots.counts=1"),
+        ],
+    )
+    def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
+        # each key is valid alone; together with the defaults they are not
+        rc = self.run(command, "--out", str(tmp_path), "--set", "grid.n=64", "--set", override)
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))

@@ -79,32 +79,29 @@ class TestTendencies:
         b = dynamics.tendency_flux(u).values
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("delta", [0.0, 1e-3])
-    def test_matches_multiplier_reference(self, rng, delta, dealias):
+    def test_matches_multiplier_reference(self, rng, delta):
         # reference from the spectral multipliers: the rational form for
         # delta > 0 and -(1/pi) d/dx arctan(Hu/u) at delta = 0, formed on
-        # the n-point or the 3/2 grid and projected by direct Fourier sums
+        # the grid and projected by direct Fourier sums
         grid = PeriodicGrid(64)
         u = field_with_nyquist(grid, rng)
         parts = [u, spectral.hilbert(u), spectral.frac_laplacian(u), spectral.derivative(u)]
-        m = 3 * grid.n // 2 if dealias else grid.n
-        uv, hu, lu, ux = (direct_interpolant(f.values, m) for f in parts)
+        uv, hu, lu, ux = (direct_interpolant(f.values, grid.n) for f in parts)
         if delta == 0.0:
             angle = RealField(grid, direct_projection(np.arctan2(hu, uv), grid.n))
             ref = -spectral.derivative(angle).values / np.pi
         else:
             rate = -(uv * lu - hu * ux) / (np.pi * (delta + uv**2 + hu**2))
             ref = direct_projection(rate, grid.n)
-        out = dynamics.nonlinear_tendency(u, delta, dealias=dealias).values
+        out = dynamics.nonlinear_tendency(u, delta).values
         assert np.abs(out - ref).max() < 1e-13 * np.abs(ref).max()
 
     def test_constant_is_steady(self, grid):
         u = RealField(grid, np.full(grid.n, 2.0))
         for delta in (0.0, 1e-2):
-            for dealias in (False, True):
-                out = dynamics.nonlinear_tendency(u, delta, dealias=dealias)
-                assert np.abs(out.values).max() < 1e-12
+            out = dynamics.nonlinear_tendency(u, delta)
+            assert np.abs(out.values).max() < 1e-12
 
     def test_delta_zero_limit(self, grid, rng):
         u = smooth_positive_field(grid, rng, floor=1.0)
@@ -115,16 +112,6 @@ class TestTendencies:
         ]
         assert err[2] < err[0]
         assert err[2] < 1e-6
-
-    def test_dealias_close_to_plain_on_smooth_field(self, grid, rng):
-        # a field band-limited to n/8 has no aliased products at 3/2 padding,
-        # so both evaluations agree up to the rational nonlinearity's own
-        # spectral tail
-        u = positive_band_limited_field(grid, rng, floor=1.0, kband=8)
-        for delta in (0.0, 1e-2):
-            a = dynamics.nonlinear_tendency(u, delta, dealias=False).values
-            b = dynamics.nonlinear_tendency(u, delta, dealias=True).values
-            assert np.abs(a - b).max() < 1e-8
 
     def test_tendency_positivity_guard(self, grid):
         u = RealField(grid, np.full(grid.n, 1e-12))
