@@ -111,8 +111,8 @@ SCHEMA = {
         "deltas": (
             _parse_float_list,
             (1e-2, 5e-3, 2.5e-3, 1.25e-3),
-            lambda v: all(d > 0 for d in v) and all(b < a for a, b in zip(v, v[1:])),
-            "positive and strictly decreasing",
+            lambda v: len(v) >= 3 and all(d > 0 for d in v) and all(b < a for a, b in zip(v, v[1:])),
+            "at least 3 entries, positive and strictly decreasing",
         ),
     },
     "smoothing": {
@@ -123,12 +123,12 @@ SCHEMA = {
         "num_snapshots": (int, 16, lambda v: v >= 3, ">= 3"),
     },
     "stability": {
-        "gaps": (_parse_float_list, (1e-3, 5e-4, 2.5e-4), None, ""),
+        "gaps": (_parse_float_list, (1e-3, 5e-4, 2.5e-4), lambda v: len(v) > 0 and min(v) > 0, "non-empty, > 0"),
         "g_max": (float, 20.0, lambda v: v > 0, "> 0"),
         "linearity_tol": (float, 0.2, lambda v: v > 0, "> 0"),
     },
     "roots": {
-        "counts": (_parse_int_list, (100, 200, 400), lambda v: all(c >= 2 for c in v), "integers >= 2"),
+        "counts": (_parse_int_list, (100, 200, 400), lambda v: len(v) > 0 and min(v) >= 2, "non-empty, >= 2"),
         "t": (float, 0.3, lambda v: 0 <= v < 1, "in [0, 1)"),
         "margin": (float, 0.5, lambda v: 0 < v < np.pi, "in (0, pi)"),
         "w1_max": (float, 0.1, lambda v: v > 0, "> 0"),
@@ -309,24 +309,27 @@ def build_initial(cfg):
     ini = cfg["initial"]
     kind = ini["kind"]
     if kind == "constant":
-        return RealField(grid, np.full(grid.n, ini["c0"]))
-    if kind == "cosine":
-        x = grid.points
-        return RealField(grid, ini["c0"] + ini["amplitude"] * np.cos(ini["mode"] * x))
-    if kind == "rough":
-        return solver.rough_initial_data(
+        u0 = RealField(grid, np.full(grid.n, ini["c0"]))
+    elif kind == "cosine":
+        u0 = RealField(grid, ini["c0"] + ini["amplitude"] * np.cos(ini["mode"] * grid.points))
+    elif kind == "rough":
+        u0 = solver.rough_initial_data(
             grid,
             c0=ini["c0"],
             eta=ini["eta"],
             amplitude=ini["amplitude"],
             seed=cfg["solver"]["seed"],
         )
-    if kind == "bump":
+    elif kind == "bump":
         x = np.where(grid.points >= np.pi, grid.points - 2.0 * np.pi, grid.points)
         b = bump_profile(x, ini["bump_halfwidth"])
         b /= grid.dx * np.sum(b)  # unit mass before the floor
-        return RealField(grid, b + ini["bump_floor"])
-    raise ConfigError(f"unknown initial kind {kind!r}")
+        u0 = RealField(grid, b + ini["bump_floor"])
+    else:
+        raise ConfigError(f"unknown initial kind {kind!r}")
+    if u0.min() <= 0:
+        raise ConfigError(f"initial data must be positive, min u0 = {u0.min():.3e}")
+    return u0
 
 
 def solver_config(cfg, **overrides):
@@ -388,8 +391,10 @@ def _log_spaced(t_min, t_end, count):
 
 
 def cmd_smoothing(cfg, out):
-    sm = cfg["smoothing"]
-    snaps = _log_spaced(sm["t_min"], cfg["solver"]["t_end"], sm["num_snapshots"])
+    sm, t_end = cfg["smoothing"], cfg["solver"]["t_end"]
+    snaps = _log_spaced(sm["t_min"], t_end, sm["num_snapshots"]) if sm["t_min"] < t_end else ()
+    if len(set(snaps)) < 3:
+        raise ConfigError(f"smoothing.t_min = {sm['t_min']:g} leaves < 3 snapshot times up to t_end = {t_end:g}")
     scfg = solver_config(cfg, snapshot_times=snaps)
     u0 = build_initial(cfg)
     traj = solver.solve(u0, scfg)
@@ -537,7 +542,6 @@ def main(argv=None):
         metavar="SECTION.KEY=VALUE",
         help="override a config value (repeatable)",
     )
-    parser.add_argument("--seed", type=int, help="override solver.seed")
     args = parser.parse_args(argv)
 
     try:
@@ -547,8 +551,6 @@ def main(argv=None):
                 text = f.read()
         cfg = parse_config(text)
         apply_overrides(cfg, args.set)
-        if args.seed is not None:
-            cfg["solver"]["seed"] = args.seed
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES["config"]

@@ -33,9 +33,8 @@ class PositivityError(ValueError):
 
 @dataclass(frozen=True)
 class Coefficients:
-    V: RealField
-    gamma: RealField
-    delta: float
+    V: np.ndarray
+    gamma: np.ndarray
 
 
 def _require_positive(u: RealField, delta: float):
@@ -52,13 +51,12 @@ def coefficients(u: RealField, delta: float) -> Coefficients:
     _require_positive(u, delta)
     F = spectral.analytic_signal(u)
     denom = delta + F.real**2 + F.imag**2
-    v = -F.imag / (np.pi * denom)
-    gamma = F.real / (np.pi * denom)
-    return Coefficients(RealField(u.grid, v), RealField(u.grid, gamma), delta)
+    return Coefficients(-F.imag / (np.pi * denom), F.real / (np.pi * denom))
 
 
-def nonlinear_tendency(u: RealField, delta: float) -> RealField:
-    """The non-viscous tendency -(1/pi) Im(conj(F) F_x) / (delta + |F|^2),
+def nonlinear_tendency(u: RealField, delta: float) -> np.ndarray:
+    """The rfft spectrum of the non-viscous tendency
+    -(1/pi) Im(conj(F) F_x) / (delta + |F|^2),
     that is -(1/pi)(u Lu - Hu u_x) / (delta + u^2 + (Hu)^2).
 
     With delta = 0 this is evaluated through the flux form, which is an
@@ -70,13 +68,12 @@ def nonlinear_tendency(u: RealField, delta: float) -> RealField:
     _require_positive(u, delta)
     F = spectral.analytic_signal(u)
     Fx = spectral.analytic_signal(u, dx=True)
-    out = -(np.conj(F) * Fx).imag / (np.pi * (delta + F.real**2 + F.imag**2))
-    return RealField(u.grid, out)
+    return np.fft.rfft(-(np.conj(F) * Fx).imag / (np.pi * (delta + F.real**2 + F.imag**2)))
 
 
-def tendency_flux(u: RealField) -> RealField:
-    """Flux-form tendency -(1/pi) d/dx arg F, where arg F = arctan(Hu/u) for
-    positive u; mean-zero by construction."""
+def tendency_flux(u: RealField) -> np.ndarray:
+    """rfft spectrum of the flux-form tendency -(1/pi) d/dx arg F, where
+    arg F = arctan(Hu/u) for positive u; its mean bin is exactly zero."""
     _require_positive(u, 0.0)
     c = np.fft.rfft(np.angle(spectral.analytic_signal(u)) / np.pi)
-    return spectral.from_spectrum(u.grid, -(c * spectral.derivative_multiplier(u.grid)))
+    return -(c * spectral.derivative_multiplier(u.grid))

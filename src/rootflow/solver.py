@@ -84,12 +84,10 @@ def mollified_initial(u0: RealField, delta: float) -> RealField:
 def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max)."""
     coeffs = dynamics.coefficients(state.u, cfg.delta)
-    gmax = coeffs.gamma.max()
-    vmax = float(np.abs(coeffs.V.values).max())
     grid = state.u.grid
     return cfg.cfl * min(
-        1.0 / (max(gmax, 1e-300) * grid.kmax),
-        grid.dx / max(vmax, 1e-300),
+        1.0 / (max(float(coeffs.gamma.max()), 1e-300) * grid.kmax),
+        grid.dx / max(float(np.abs(coeffs.V).max()), 1e-300),
         cfg.dt_max,
     )
 
@@ -102,11 +100,11 @@ def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
     decay = spectral.heat_multiplier(u.grid, cfg.delta * dt)
     try:
         k1 = dynamics.nonlinear_tendency(u, cfg.delta)
-        pred = spectral.from_spectrum(u.grid, (u.spectrum + dt * k1.spectrum) * decay)
+        pred = spectral.from_spectrum(u.grid, (u.spectrum + dt * k1) * decay)
         k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
     except dynamics.PositivityError as exc:
         raise SolverAbort(f"stage positivity loss at t={state.t:.6g}: {exc}") from exc
-    c_new = (u.spectrum + 0.5 * dt * k1.spectrum) * decay + 0.5 * dt * k2.spectrum
+    c_new = (u.spectrum + 0.5 * dt * k1) * decay + 0.5 * dt * k2
     u_new = spectral.from_spectrum(u.grid, c_new)
     if not np.all(np.isfinite(u_new.values)):
         raise SolverAbort(f"non-finite field after step at t={state.t:.6g}")

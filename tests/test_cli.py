@@ -164,8 +164,8 @@ class TestMain:
             "solver.t_end=0.2",
             "--set",
             "initial.kind=rough",
-            "--seed",
-            "11",
+            "--set",
+            "solver.seed=11",
         ]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self.run(*args, "--out", str(out_a)) == 0
@@ -188,10 +188,18 @@ class TestMain:
             ("smoothing", "smoothing.t_min=5"),
             ("sweep-delta", "sweep.deltas=1e-3,1e-2"),
             ("roots-compare", "roots.counts=1"),
+            ("smoothing", "smoothing.t_min=1"),
+            ("sweep-delta", "sweep.deltas="),
+            ("sweep-delta", "sweep.deltas=1e-2"),
+            ("roots-compare", "roots.counts="),
+            ("stability", "stability.gaps="),
+            ("stability", "stability.gaps=0"),
+            ("solve", "initial.amplitude=1"),
         ],
     )
     def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
-        # each key is valid alone; together with the defaults they are not
+        # settings invalid together, lists that would measure nothing and
+        # non-positive initial data all end as config errors, not tracebacks
         rc = self.run(command, "--out", str(tmp_path), "--set", "grid.n=64", "--set", override)
         assert rc == cli.EXIT_CODES["config"]
         err = capsys.readouterr().err

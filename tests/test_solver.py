@@ -90,6 +90,30 @@ class TestSolve:
         record_times = {r.t for r in traj.records}
         assert all(t in record_times for t in expected)
 
+    @pytest.mark.parametrize("delta, per_step", [(0.0, 7), (1e-2, 8)])
+    def test_transform_and_validation_counts(self, monkeypatch, delta, per_step):
+        # set-up: rfft and irfft of the mollified datum, F and F_x for its
+        # record; a step then transforms only what it must (the tendency
+        # spectra stay spectra) and validates no field it computed itself
+        grid = PeriodicGrid(64)
+        u0 = cosine_datum(grid)
+        calls = {"fft": 0, "validate": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+        monkeypatch.setattr(RealField, "__post_init__", counted(RealField.__post_init__, "validate"))
+        cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,))
+        steps = len(solver.solve(u0, cfg).records) - 1
+        assert steps >= 2
+        assert calls == {"fft": 4 + per_step * steps, "validate": 0}
+
     def test_mollified_initial(self):
         grid = PeriodicGrid(64)
         u0 = cosine_datum(grid)
