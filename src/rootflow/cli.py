@@ -17,6 +17,7 @@ read-back reproduces the exact bytes.
 
 import argparse
 import configparser
+import io
 import math
 import os
 import sys
@@ -46,32 +47,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(s):
-    v = s.strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+def _list_of(cast):
+    """Parser of a comma-separated list; blank text is the empty list."""
+    return lambda s: tuple(cast(tok) for tok in s.split(",")) if s.strip() else ()
 
 
-def _parse_float_list(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(float(tok) for tok in s.split(","))
-
-
-def _parse_int_list(s):
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(tok) for tok in s.split(","))
+def _finite(v):
+    """False if v is, or is a tuple holding, a float nan or inf."""
+    return all(math.isfinite(x) for x in (v if isinstance(v, tuple) else (v,)) if isinstance(x, float))
 
 
 def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, tuple):
@@ -89,7 +75,7 @@ SCHEMA = {
         "t_end": (float, 1.0, lambda v: v >= 0, ">= 0"),
         "cfl": (float, 0.4, lambda v: 0 < v <= 1, "in (0, 1]"),
         "dt_max": (float, math.inf, lambda v: v > 0, "> 0"),
-        "snapshot_times": (_parse_float_list, (), None, ""),
+        "snapshot_times": (_list_of(float), (), None, ""),
         "pos_floor": (float, 1e-10, None, ""),
         "seed": (int, 0, lambda v: v >= 0, ">= 0"),
     },
@@ -109,7 +95,7 @@ SCHEMA = {
     },
     "sweep": {
         "deltas": (
-            _parse_float_list,
+            _list_of(float),
             (1e-2, 5e-3, 2.5e-3, 1.25e-3),
             lambda v: len(v) >= 3 and all(d > 0 for d in v) and all(b < a for a, b in zip(v, v[1:])),
             "at least 3 entries, positive and strictly decreasing",
@@ -123,16 +109,15 @@ SCHEMA = {
         "num_snapshots": (int, 16, lambda v: v >= 3, ">= 3"),
     },
     "stability": {
-        "gaps": (_parse_float_list, (1e-3, 5e-4, 2.5e-4), lambda v: len(v) > 0 and min(v) > 0, "non-empty, > 0"),
+        "gaps": (_list_of(float), (1e-3, 5e-4, 2.5e-4), lambda v: len(v) > 0 and min(v) > 0, "non-empty, > 0"),
         "g_max": (float, 20.0, lambda v: v > 0, "> 0"),
         "linearity_tol": (float, 0.2, lambda v: v > 0, "> 0"),
     },
     "roots": {
-        "counts": (_parse_int_list, (100, 200, 400), lambda v: len(v) > 0 and min(v) >= 2, "non-empty, >= 2"),
+        "counts": (_list_of(int), (100, 200, 400), lambda v: len(v) > 0 and min(v) >= 2, "non-empty, >= 2"),
         "t": (float, 0.3, lambda v: 0 <= v < 1, "in [0, 1)"),
         "margin": (float, 0.5, lambda v: 0 < v < np.pi, "in (0, pi)"),
         "w1_max": (float, 0.1, lambda v: v > 0, "> 0"),
-        "normalize": (_parse_bool, True, None, ""),
     },
 }
 
@@ -163,11 +148,14 @@ def _set_value(cfg, section, key, raw):
         raise ConfigError(f"unknown config section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown key {section}.{key}")
-    parse, _default, constraint, description = SCHEMA[section][key]
+    parse, default, constraint, description = SCHEMA[section][key]
     try:
         value = parse(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+    # only a setting whose default is not finite (dt_max = inf) may be nan or inf
+    if _finite(default) and not _finite(value):
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} (must be finite)")
     if constraint is not None and not constraint(value):
         raise ConfigError(
             f"constraint violation for {section}.{key}: {raw!r} (must be {description})"
@@ -212,36 +200,35 @@ def atomic_write(path, text: str):
 # file formats
 
 
+def _csv_text(table, header):
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue()
+
+
 def write_snapshot_csv(traj, path):
     """Header `# n=<n> times=<t1,...>`, then one row per grid point: x_j
     followed by one column per snapshot, all at 17 significant digits."""
     grid = traj.snapshots[0][1].grid
-    times = ",".join(format(t, ".17g") for t in traj.times)
-    lines = [f"# n={grid.n} times={times}"]
-    x = grid.points
-    cols = [u.values for _, u in traj.snapshots]
-    for j in range(grid.n):
-        row = [format(x[j], ".17g")] + [format(c[j], ".17g") for c in cols]
-        lines.append(",".join(row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    table = np.column_stack([grid.points] + [u.values for _, u in traj.snapshots])
+    atomic_write(path, _csv_text(table, f"# n={grid.n} times={_fmt(tuple(traj.times))}"))
 
 
 def read_snapshot_csv(path):
     """Inverse of write_snapshot_csv; returns a list of (t, RealField)."""
     with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("# n="):
+        header = f.readline()
+    if not header.startswith("# n="):
         raise ValueError(f"{path}: malformed snapshot header")
-    header = lines[0][2:]
     try:
-        n_part, times_part = header.split(" times=")
+        n_part, times_part = header[2:].split(" times=")
         n = int(n_part[len("n=") :])
         times = [float(t) for t in times_part.split(",")]
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed snapshot header") from exc
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"{path}: snapshot times must be strictly increasing")
-    data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (n, 1 + len(times)):
         raise ValueError(
             f"{path}: expected {n} rows x {1 + len(times)} columns, got {data.shape}"
@@ -251,15 +238,8 @@ def read_snapshot_csv(path):
 
 
 def emit_diagnostics_csv(traj, path):
-    lines = ["t,dt,min_u,max_u,mass,h12,dissipation"]
-    for r in traj.records:
-        lines.append(
-            ",".join(
-                format(v, ".17g")
-                for v in (r.t, r.dt, r.min_u, r.max_u, r.mass, r.h12, r.dissipation)
-            )
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    table = [list(vars(r).values()) for r in traj.records]
+    atomic_write(path, _csv_text(table, "t,dt,min_u,max_u,mass,h12,dissipation"))
 
 
 class Summary:
@@ -386,13 +366,9 @@ def cmd_sweep_delta(cfg, out):
     return summary
 
 
-def _log_spaced(t_min, t_end, count):
-    return tuple(np.exp(np.linspace(np.log(t_min), np.log(t_end), count)))
-
-
 def cmd_smoothing(cfg, out):
     sm, t_end = cfg["smoothing"], cfg["solver"]["t_end"]
-    snaps = _log_spaced(sm["t_min"], t_end, sm["num_snapshots"]) if sm["t_min"] < t_end else ()
+    snaps = tuple(np.geomspace(sm["t_min"], t_end, sm["num_snapshots"])) if sm["t_min"] < t_end else ()
     if len(set(snaps)) < 3:
         raise ConfigError(f"smoothing.t_min = {sm['t_min']:g} leaves < 3 snapshot times up to t_end = {t_end:g}")
     scfg = solver_config(cfg, snapshot_times=snaps)
@@ -422,6 +398,8 @@ def cmd_stability(cfg, out):
     growths = []
     for gap in st["gaps"]:
         pert = RealField(u0.grid, u0.values + gap * np.cos(u0.grid.points))
+        if pert.min() <= 0:
+            raise ConfigError(f"stability gap {gap:g} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
         traj = solver.solve(pert, scfg)
         rep = diagnostics.stability_compare(base, traj)
         growths.append(rep.growth)
@@ -459,17 +437,15 @@ def cmd_roots_compare(cfg, out):
     bump0 = RealField(
         u0.grid, np.maximum(u0.values - cfg["initial"]["bump_floor"], 0.0)
     )
-    prev = math.inf
-    ok_order = True
+    w1s = []
     for n in rt["counts"]:
         ens = roots.quantile_sample_field(bump0, margin=margin, n=n)
         flowed = roots.root_flow(ens, rt["t"])
-        w1 = roots.wasserstein1(flowed, xs, dens, normalize=rt["normalize"])
+        w1 = roots.wasserstein1(flowed, xs, dens)
         summary.note(f"w1_n_{n}", w1)
         summary.check("roots", f"w1_finite_and_small_n_{n}", w1, rt["w1_max"], np.isfinite(w1) and w1 < rt["w1_max"])
-        if w1 > prev + 1e-12:
-            ok_order = False
-        prev = w1
+        w1s.append(w1)
+    ok_order = not any(b > a + 1e-12 for a, b in zip(w1s, w1s[1:]))
     summary.check("roots", "w1_nonincreasing_in_n", float(ok_order), 1.0, ok_order)
     return summary
 

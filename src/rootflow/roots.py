@@ -143,13 +143,11 @@ def root_flow(e: RootEnsemble, t: float) -> RootEnsemble:
     return out
 
 
-def wasserstein1(e: RootEnsemble, x, density, normalize: bool = True) -> float:
+def wasserstein1(e: RootEnsemble, x, density) -> float:
     """W1 distance between the empirical measure of the roots and a density
     given as a table (x, density) on an interval, via the L1 distance of CDFs.
 
-    With normalize=True (default) both measures are renormalized to
-    probability first; otherwise the root measure carries weight len(e) and
-    the density its quadrature mass.
+    Both measures are normalized to probability first.
     """
     x = np.asarray(x, dtype=float)
     density = np.asarray(density, dtype=float)
@@ -160,18 +158,13 @@ def wasserstein1(e: RootEnsemble, x, density, normalize: bool = True) -> float:
     dens_mass = dens_cdf[-1]
     if dens_mass <= 0:
         raise ValueError("density has zero total mass")
+    dens_cdf = dens_cdf / dens_mass
     roots = e.roots
-    root_mass = float(len(e))
-    if normalize:
-        dens_cdf = dens_cdf / dens_mass
-        root_weight = 1.0 / root_mass
-    else:
-        root_weight = 1.0
     lo = min(x[0], roots[0])
     hi = max(x[-1], roots[-1])
     breakpoints = np.unique(np.concatenate([x, roots, [lo, hi]]))
     f_dens = np.interp(breakpoints, x, dens_cdf, left=0.0, right=dens_cdf[-1])
-    f_emp = root_weight * np.searchsorted(roots, breakpoints, side="right")
+    f_emp = (1.0 / len(e)) * np.searchsorted(roots, breakpoints, side="right")
     # the empirical CDF is constant between breakpoints (it jumps at roots,
     # which are breakpoints) and the density CDF linear, so |F_emp - F_dens|
     # integrates exactly per segment: a trapezoid where the difference keeps

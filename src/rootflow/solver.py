@@ -30,16 +30,19 @@ class SolverConfig:
     pos_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        # negated comparisons, so that nan fails each of them
+        if not (0 <= self.t_end < np.inf):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.dt_max <= 0:
+        if not (0 <= self.delta < np.inf):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        if not (self.dt_max > 0):
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not (0 <= self.pos_floor < np.inf):
+            raise ValueError(f"pos_floor must be finite and >= 0, got {self.pos_floor}")
         times = tuple(float(t) for t in self.snapshot_times)
-        if any(t < 0 or t > self.t_end for t in times):
+        if not all(0 <= t <= self.t_end for t in times):
             raise ValueError("snapshot times must lie in [0, t_end]")
         if list(times) != sorted(times):
             raise ValueError("snapshot times must be sorted")

@@ -10,6 +10,22 @@ from rootflow.solver import SolverConfig
 from rootflow.spectral import PeriodicGrid, RealField
 
 
+def _float_kind(parse):
+    try:
+        return {0.5: "float", (0.5,): "list"}.get(parse("0.5"))
+    except ValueError:
+        return None
+
+
+# every setting that holds a float or a list of floats
+FLOAT_KEYS = {
+    f"{section}.{key}": _float_kind(parse)
+    for section, keys in cli.SCHEMA.items()
+    for key, (parse, *_rest) in keys.items()
+    if _float_kind(parse)
+}
+
+
 class TestConfigParsing:
     def test_empty_config_gives_defaults(self):
         cfg = cli.parse_config("")
@@ -19,11 +35,11 @@ class TestConfigParsing:
 
     def test_values_and_comments(self):
         cfg = cli.parse_config(
-            "[grid]\nn = 128  # coarse\n[solver]\ndelta = 1e-3\n[roots]\nnormalize = false\n"
+            "[grid]\nn = 128  # coarse\n[solver]\ndelta = 1e-3\n[roots]\ncounts = 10, 20  # two sizes\n"
         )
         assert cfg["grid"]["n"] == 128
         assert cfg["solver"]["delta"] == 1e-3
-        assert cfg["roots"]["normalize"] is False
+        assert cfg["roots"]["counts"] == (10, 20)
 
     @pytest.mark.parametrize(
         "text",
@@ -68,14 +84,36 @@ class TestCsvFormats:
         for (_, a), (_, b) in zip(back, traj.snapshots):
             assert np.array_equal(a.values, b.values)
 
+    def test_writers_match_rowwise_reference(self, tmp_path):
+        # the reference is the row-by-row rule of the writers numpy replaced
+        grid = PeriodicGrid(16)
+        u0 = RealField(grid, 1.0 + 0.3 * np.cos(grid.points))
+        traj = solver.solve(u0, SolverConfig(t_end=0.1, snapshot_times=(0.05,)))
+
+        def rows(table):
+            return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table)
+
+        times = ",".join(format(t, ".17g") for t in traj.times)
+        snap = f"# n=16 times={times}\n" + rows(zip(grid.points, *(u.values for _, u in traj.snapshots)))
+        diag = "t,dt,min_u,max_u,mass,h12,dissipation\n" + rows(
+            (r.t, r.dt, r.min_u, r.max_u, r.mass, r.h12, r.dissipation) for r in traj.records
+        )
+        cli.write_snapshot_csv(traj, str(tmp_path / "snap.csv"))
+        cli.emit_diagnostics_csv(traj, str(tmp_path / "diag.csv"))
+        assert (tmp_path / "snap.csv").read_bytes() == snap.encode()
+        assert (tmp_path / "diag.csv").read_bytes() == diag.encode()
+
     def test_read_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("no header\n1,2\n")
-        with pytest.raises(ValueError):
-            cli.read_snapshot_csv(str(p))
-        p.write_text("# n=64 times=0.2,0.1\n")
-        with pytest.raises(ValueError):
-            cli.read_snapshot_csv(str(p))
+        for text in (
+            "no header\n1,2\n",
+            "# n=64 times=0.2,0.1\n",
+            "# n=2 times=0\n0,1\n1\n",  # ragged row
+            "# n=2 times=0\n0,1\n1,x\n",  # non-numeric cell
+        ):
+            p.write_text(text)
+            with pytest.raises(ValueError):
+                cli.read_snapshot_csv(str(p))
 
     def test_atomic_write_replaces(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -195,6 +233,7 @@ class TestMain:
             ("stability", "stability.gaps="),
             ("stability", "stability.gaps=0"),
             ("solve", "initial.amplitude=1"),
+            ("stability", "stability.gaps=1"),
         ],
     )
     def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
@@ -205,6 +244,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for key in FLOAT_KEYS
+            for value in ("nan", "inf")
+            if (key, value) != ("solver.dt_max", "inf")
+        ],
+    )
+    def test_non_finite_setting_exit_code(self, tmp_path, capsys, key, value):
+        # every float setting must be finite, except dt_max, whose default is
+        # inf; a list gets the value after a finite entry
+        raw = f"0.1,{value}" if FLOAT_KEYS[key] == "list" else value
+        rc = self.run("solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", f"{key}={raw}")
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t_end", ["0.1", "0.05"])
+    def test_smoothing_snapshots_span_t_min_to_t_end(self, tmp_path, capsys, t_end):
+        rc = self.run(
+            "smoothing", "--out", str(tmp_path), "--set", "grid.n=64", "--set", f"solver.t_end={t_end}"
+        )
+        assert rc == 0
+        times = [t for t, _ in cli.read_snapshot_csv(str(tmp_path / "snapshots.csv"))]
+        assert times[1] == 0.01  # the default smoothing.t_min
+        assert times[-1] == float(t_end)
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))

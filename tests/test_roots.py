@@ -170,22 +170,12 @@ class TestWasserstein:
         # CDF distance: int_0^1 |1_{x>1/2} - x| dx = 1/4
         assert roots.wasserstein1(e, x, dens) == pytest.approx(0.25, abs=1e-4)
 
-    def test_normalization_flag(self):
-        x = np.linspace(0.0, 1.0, 101)
-        dens = 2.0 * np.ones_like(x)  # mass 2
-        e = roots.quantile_sample(x, dens, 8)
-        w_norm = roots.wasserstein1(e, x, dens, normalize=True)
-        assert w_norm < 0.1
-        w_raw = roots.wasserstein1(e, x, dens, normalize=False)
-        assert w_raw > 1.0  # masses 8 vs 2 disagree grossly
-
     def test_rejects_negative_density(self):
         e = RootEnsemble(np.array([0.5]), n0=1)
         with pytest.raises(ValueError):
             roots.wasserstein1(e, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_matches_segment_loop(self, normalize):
+    def test_matches_segment_loop(self):
         # reference: integrate |F_emp - F_dens| segment by segment, splitting
         # a segment where the difference changes sign
         rng = np.random.default_rng(7)
@@ -193,9 +183,7 @@ class TestWasserstein:
         x = np.linspace(-1.0, 1.0, 801)
         dens = np.sqrt(1.0 - x**2)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
-        weight = 1.0
-        if normalize:
-            cdf, weight = cdf / cdf[-1], 1.0 / len(e)
+        cdf, weight = cdf / cdf[-1], 1.0 / len(e)
         xs = np.unique(np.concatenate([x, e.roots]))
         f_dens = np.interp(xs, x, cdf, left=0.0, right=cdf[-1])
         f_emp = weight * np.searchsorted(e.roots, xs, side="right")
@@ -208,5 +196,5 @@ class TestWasserstein:
             else:
                 xc = a / (a - b)
                 ref += 0.5 * w * (abs(a) * xc + abs(b) * (1.0 - xc))
-        got = roots.wasserstein1(e, x, dens, normalize=normalize)
+        got = roots.wasserstein1(e, x, dens)
         assert got == pytest.approx(ref, rel=1e-12)

@@ -25,6 +25,9 @@ class TestConfig:
             dict(dt_max=0.0),
             dict(snapshot_times=(0.5, 0.2), t_end=1.0),
             dict(snapshot_times=(2.0,), t_end=1.0),
+            dict(t_end=np.inf),
+            dict(snapshot_times=(np.nan,)),
+            dict(pos_floor=np.nan),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
