@@ -371,6 +371,10 @@ def cmd_smoothing(cfg, out):
     snaps = tuple(np.geomspace(sm["t_min"], t_end, sm["num_snapshots"])) if sm["t_min"] < t_end else ()
     if len(set(snaps)) < 3:
         raise ConfigError(f"smoothing.t_min = {sm['t_min']:g} leaves < 3 snapshot times up to t_end = {t_end:g}")
+    n = cfg["grid"]["n"]
+    # the H^(1/2+s) seminorm weighs mode k by k^(1+2s)
+    if (1.0 + 2.0 * sm["s"]) * math.log(n // 2) >= math.log(sys.float_info.max):
+        raise ConfigError(f"smoothing.s = {sm['s']:g} overflows the weight kmax^(1+2s) at grid.n = {n}")
     scfg = solver_config(cfg, snapshot_times=snaps)
     u0 = build_initial(cfg)
     traj = solver.solve(u0, scfg)
@@ -416,30 +420,34 @@ def cmd_stability(cfg, out):
 def cmd_roots_compare(cfg, out):
     rt = cfg["roots"]
     cfg = {**cfg, "initial": {**cfg["initial"], "kind": "bump"}}
+    ini = cfg["initial"]
     u0 = build_initial(cfg)
-    scfg = solver_config(cfg, t_end=rt["t"], pos_floor=cfg["initial"]["bump_floor"] / 2)
+    # roots are seeded from the ideal bump density; the small positive floor
+    # only exists to keep the PDE run away from zero
+    bump0 = RealField(u0.grid, np.maximum(u0.values - ini["bump_floor"], 0.0))
+    try:
+        ensembles = [roots.quantile_sample_field(bump0, margin=rt["margin"], n=n) for n in rt["counts"]]
+    except ValueError as exc:
+        raise ConfigError(
+            f"cannot sample roots from the bump (initial.bump_floor = {ini['bump_floor']:g}, "
+            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g}, roots.margin = {rt['margin']:g}): {exc}"
+        ) from exc
+    scfg = solver_config(cfg, t_end=rt["t"], pos_floor=ini["bump_floor"] / 2)
     traj = solver.solve(u0, scfg)
     u_final = traj.snapshots[-1][1]
     write_snapshot_csv(traj, os.path.join(out, "snapshots.csv"))
     summary = Summary()
-    margin = rt["margin"]
     # compare on the initial support: interlacing keeps every surviving root
     # inside it, while the mass the PDE expels from the bump piles up just
     # outside the shrinking support and belongs to no surviving root
     x = np.where(u0.grid.points >= np.pi, u0.grid.points - 2.0 * np.pi, u0.grid.points)
     order = np.argsort(x)
     xw = x[order]
-    inside = np.abs(xw) <= cfg["initial"]["bump_halfwidth"]
+    inside = np.abs(xw) <= ini["bump_halfwidth"]
     dens = u_final.values[order][inside]
     xs = xw[inside]
-    # roots are seeded from the ideal bump density; the small positive floor
-    # only exists to keep the PDE run away from zero
-    bump0 = RealField(
-        u0.grid, np.maximum(u0.values - cfg["initial"]["bump_floor"], 0.0)
-    )
     w1s = []
-    for n in rt["counts"]:
-        ens = roots.quantile_sample_field(bump0, margin=margin, n=n)
+    for n, ens in zip(rt["counts"], ensembles):
         flowed = roots.root_flow(ens, rt["t"])
         w1 = roots.wasserstein1(flowed, xs, dens)
         summary.note(f"w1_n_{n}", w1)

@@ -2,17 +2,23 @@
 
 The motivating discrete system: place n real roots according to a density,
 differentiate the polynomial k = floor(t*n) times, and follow the surviving
-roots.  Between consecutive roots of p the logarithmic derivative
-g(x) = sum 1/(x - x_i) decreases strictly from +inf to -inf, so each root of
-p' is found by bisection in its interlacing interval.
+roots.  Between consecutive roots r_j < r_{j+1} of p the logarithmic
+derivative g(x) = sum 1/(x - r_i) decreases strictly from +inf to -inf, so
+each interval holds exactly one root of p'.  Writing x = r_j + y*gap_j, that
+root is the zero in (0, 1) of the smooth function
+h(y) = y(1-y) gap_j g(x) = 1 - 2y + y(1-y) gap_j A(x), where A leaves out the
+two bracketing poles; it is found by Newton's method on h, safeguarded by
+bisection.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-BISECT_RELTOL = 1e-12
 MIN_ROOT_GAP = 1e-13
+NEWTON_YTOL = 1e-14  # a row stops once its step in y falls below this
+NEWTON_MAX_ITER = 64  # bisection alone reaches NEWTON_YTOL in about 47
+BLOCK_ROWS = 128  # work arrays are BLOCK_ROWS x n, never n x n
 
 
 @dataclass(frozen=True)
@@ -93,18 +99,17 @@ def quantile_sample_field(u, margin: float = 0.5, n: int = 100) -> RootEnsemble:
     return quantile_sample(x[inside], vals[inside], n)
 
 
-def _log_derivative(points: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # pairwise summation via np.sum keeps the cancellation error small
-    # even for large ensembles
-    return np.sum(1.0 / (points[:, None] - roots[None, :]), axis=1)
-
-
 def derivative_roots(e: RootEnsemble) -> RootEnsemble:
-    """Roots of p' for p(x) = prod (x - x_j), by bisection per interval.
+    """Roots of p' for p(x) = prod (x - r_i), one per interlacing interval.
 
-    Each open interval between consecutive roots brackets exactly one zero
-    of the strictly decreasing log-derivative; all intervals are bisected
-    simultaneously to a tolerance of BISECT_RELTOL times the interval width.
+    Each root is x = r_j + y*gap_j with h(y) = 1 - 2y + y(1-y) gap_j A(x) = 0,
+    where A sums 1/(x - r_i) over every root but r_j and r_{j+1}, so
+    h(0) = 1 and h(1) = -1.  Every row starts at y = 1/2 and keeps a bracket
+    [lo, hi] on the sign change of h.  A Newton step that is not finite,
+    leaves the bracket or lands on its far end is replaced by the bracket
+    midpoint.  A row stops once its step in y is below NEWTON_YTOL, or below
+    two float steps of x across the gap.  Rows go in blocks of BLOCK_ROWS,
+    so memory is O(BLOCK_ROWS * n).
     """
     r = e.roots
     if r.size < 2:
@@ -112,21 +117,37 @@ def derivative_roots(e: RootEnsemble) -> RootEnsemble:
     gaps = np.diff(r)
     if np.any(gaps < MIN_ROOT_GAP):
         raise ValueError(
-            f"repeated roots (gap < {MIN_ROOT_GAP:g}): bisection bracket degenerates"
+            f"repeated roots (gap < {MIN_ROOT_GAP:g}): interlacing bracket degenerates"
         )
-    lo = r[:-1].copy()
-    hi = r[1:].copy()
-    # g -> +inf at the left endpoint and -inf at the right one, so the
-    # endpoint signs never need evaluating
-    n_iter = int(np.ceil(np.log2(1.0 / BISECT_RELTOL))) + 2
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        positive = _log_derivative(mid, r) > 0.0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-    out = 0.5 * (lo + hi)
+    y, lo, hi = np.full(gaps.size, 0.5), np.zeros(gaps.size), np.ones(gaps.size)
+    ytol = np.maximum(NEWTON_YTOL, 2.0 * np.spacing(np.maximum(np.abs(r[:-1]), np.abs(r[1:]))) / gaps)
+    work = np.empty((min(BLOCK_ROWS, gaps.size), r.size))
+    for first in range(0, gaps.size, BLOCK_ROWS):
+        rows = np.arange(first, min(first + BLOCK_ROWS, gaps.size))
+        for _ in range(NEWTON_MAX_ITER):
+            w, m, yr, g = work[: rows.size], np.arange(rows.size), y[rows], gaps[rows]
+            with np.errstate(divide="ignore"):  # x may round onto r_j or r_{j+1}, poles dropped below
+                np.reciprocal(np.subtract((r[rows] + yr * g)[:, None], r, out=w), out=w)
+            w[m, rows] = w[m, rows + 1] = 0.0  # h carries the bracketing poles exactly
+            a = w.sum(axis=1)  # pairwise summation keeps cancellation small
+            h = 1.0 - 2.0 * yr + yr * (1.0 - yr) * g * a
+            dh = -2.0 + (1.0 - 2.0 * yr) * g * a - yr * (1.0 - yr) * g * g * np.einsum("ij,ij->i", w, w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = yr - h / dh
+            lo[rows], hi[rows] = np.where(h > 0.0, yr, lo[rows]), np.where(h > 0.0, hi[rows], yr)
+            # h == 0 moves hi onto y, so a zero step counts as inside; a step
+            # onto the far end bisects, which breaks a cycle between two
+            # floats of x that straddle the root
+            newton = ((cand > lo[rows]) & (cand < hi[rows])) | (cand == yr)  # False for nan
+            y[rows] = np.where(newton, cand, 0.5 * (lo[rows] + hi[rows]))
+            rows = rows[np.abs(y[rows] - yr) >= ytol[rows]]
+            if rows.size == 0:
+                break
+        else:
+            raise RuntimeError(f"{rows.size} roots unconverged after {NEWTON_MAX_ITER} Newton steps")
+    out = r[:-1] + y * gaps
     if np.any(out <= r[:-1]) or np.any(out >= r[1:]):
-        raise RuntimeError("bisection output escaped its interlacing interval")
+        raise RuntimeError("derivative root escaped its interlacing interval")
     return RootEnsemble(out, n0=e.n0, k=e.k + 1)
 
 

@@ -234,6 +234,8 @@ class TestMain:
             ("stability", "stability.gaps=0"),
             ("solve", "initial.amplitude=1"),
             ("stability", "stability.gaps=1"),
+            ("roots-compare", "initial.bump_floor=1e300"),
+            ("roots-compare", "initial.bump_halfwidth=3.0"),
         ],
     )
     def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
@@ -273,6 +275,18 @@ class TestMain:
         times = [t for t, _ in cli.read_snapshot_csv(str(tmp_path / "snapshots.csv"))]
         assert times[1] == 0.01  # the default smoothing.t_min
         assert times[-1] == float(t_end)
+
+    @pytest.mark.parametrize("s", ["1e300", "110"])
+    def test_smoothing_rejects_overflowing_order(self, tmp_path, capsys, s):
+        # at n = 64, kmax^(1+2s) overflows for s above about 101.9
+        rc = self.run(
+            "smoothing", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", f"smoothing.s={s}",
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert "error:" in err and "smoothing.s" in err and "grid.n = 64" in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))

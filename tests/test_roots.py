@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,52 @@ from rootflow.spectral import PeriodicGrid, RealField
 def sorted_distinct_roots(draw_values):
     r = np.sort(np.asarray(draw_values, dtype=float))
     return r[np.concatenate([[True], np.diff(r) > 1e-6])]
+
+
+def bisection_roots(r):
+    """The bisection solver derivative_roots used before its Newton solve:
+    42 simultaneous sweeps of every interlacing interval on the sign of the
+    log-derivative, which is +inf at each left end and -inf at each right."""
+    lo, hi = r[:-1].copy(), r[1:].copy()
+    for _ in range(42):
+        mid = 0.5 * (lo + hi)
+        positive = np.sum(1.0 / (mid[:, None] - r[None, :]), axis=1) > 0.0
+        lo = np.where(positive, mid, lo)
+        hi = np.where(positive, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_matches_bisection(r):
+    out = roots.derivative_roots(RootEnsemble(r, n0=r.size)).roots
+    assert np.all(out > r[:-1]) and np.all(out < r[1:])
+    # a float step of x bounds both solvers: on 1e-11 clusters near 0.5
+    # the two differ by about one, with Newton the closer to the root
+    ulp = np.spacing(np.maximum(np.abs(r[:-1]), np.abs(r[1:])))
+    assert np.all(np.abs(out - bisection_roots(r)) <= 1e-9 * np.diff(r) + 16.0 * ulp)
+
+
+def error_over_gap(got, ref):
+    """Largest |got - ref| over the distance from each reference root to its
+    nearest neighbour."""
+    d = np.diff(ref)
+    gap = np.minimum(np.concatenate([[np.inf], d]), np.concatenate([d, [np.inf]]))
+    return float(np.max(np.abs(got - ref) / gap))
+
+
+@st.composite
+def clustered_roots(draw):
+    """Sorted roots: clusters at gaps near 1e-11 around a point in [-10, 10],
+    flanked on each side by up to three gaps of up to 5e5, so spans reach
+    1e6; n may be 2."""
+    tight = st.lists(st.floats(-11.2, -10.8), min_size=1, max_size=8)  # log10 of gaps
+    wide = st.lists(st.floats(-3.0, 5.7), max_size=3)
+    middle = draw(tight)
+    for _ in range(draw(st.integers(0, 2))):
+        middle += [draw(st.floats(-3.0, 0.0))] + draw(tight)
+    start = draw(st.floats(-10.0, 10.0))
+    left = start - np.cumsum(10.0 ** np.array(draw(wide)))[::-1]
+    right = start + np.cumsum(10.0 ** np.array(middle + draw(wide)))
+    return np.concatenate([left, [start], right])
 
 
 class TestEnsemble:
@@ -64,6 +112,51 @@ class TestDerivativeRoots:
         out = roots.derivative_roots(e)
         assert np.all(out.roots > r[:-1])
         assert np.all(out.roots < r[1:])
+
+    @given(r=clustered_roots())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bisection(self, r):
+        assert_matches_bisection(r)
+
+    def test_newton_fallback(self):
+        # a cluster at gaps of 1e-11, then two gaps 1e11 times wider: from
+        # y = 1/2 the last row's Newton step leaves the bracket (0, 1)
+        r = np.concatenate([1e-11 * np.arange(10), 9e-11 + np.array([1.0, 2.0])])
+        x = r[-2] + 0.5
+        a = 1.0 / (x - r[:-2])
+        h, dh = 0.25 * a.sum(), -2.0 - 0.25 * np.sum(a * a)
+        assert 0.5 - h / dh > 1.0
+        assert_matches_bisection(r)
+
+    def test_hermite_oracle(self):
+        # H_n' = 2n H_{n-1}: 36 passes take the roots of H_120 to those of H_84
+        r = np.polynomial.hermite.hermgauss(120)[0]
+        out = roots.root_flow(RootEnsemble(r, n0=120), 0.3)
+        assert out.k == 36
+        assert error_over_gap(out.roots, np.polynomial.hermite.hermgauss(84)[0]) <= 1e-8
+        assert abs(out.roots.mean() - r.mean()) <= 1e-10 * (r[-1] - r[0])
+
+    def test_chebyshev_oracle(self):
+        # T_n' = n U_{n-1}; the gaps shrink like 1/n^2 toward +/-1
+        n = 500
+        r = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))[::-1]
+        expect = np.cos(np.arange(1, n) * np.pi / n)[::-1]
+        out = roots.derivative_roots(RootEnsemble(r, n0=n)).roots
+        assert error_over_gap(out, expect) <= 1e-8
+        assert abs(out.mean() - r.mean()) <= 1e-10 * (r[-1] - r[0])
+
+    def test_memory_is_linear_in_n(self):
+        # the work arrays hold one block of rows: 4 MB at n = 4000, where an
+        # n x n array would take 128 MB
+        n = 4000
+        e = RootEnsemble(np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))[::-1], n0=n)
+        tracemalloc.start()
+        try:
+            roots.derivative_roots(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rejects_degenerate(self):
         e = RootEnsemble(np.array([0.0]), n0=1)
