@@ -301,8 +301,7 @@ def build_initial(cfg):
             seed=cfg["solver"]["seed"],
         )
     elif kind == "bump":
-        x = np.where(grid.points >= np.pi, grid.points - 2.0 * np.pi, grid.points)
-        b = bump_profile(x, ini["bump_halfwidth"])
+        b = bump_profile(roots.seam_centred(grid.points), ini["bump_halfwidth"])
         b /= grid.dx * np.sum(b)  # unit mass before the floor
         u0 = RealField(grid, b + ini["bump_floor"])
     else:
@@ -440,16 +439,12 @@ def cmd_roots_compare(cfg, out):
     # compare on the initial support: interlacing keeps every surviving root
     # inside it, while the mass the PDE expels from the bump piles up just
     # outside the shrinking support and belongs to no surviving root
-    x = np.where(u0.grid.points >= np.pi, u0.grid.points - 2.0 * np.pi, u0.grid.points)
-    order = np.argsort(x)
-    xw = x[order]
-    inside = np.abs(xw) <= ini["bump_halfwidth"]
-    dens = u_final.values[order][inside]
-    xs = xw[inside]
+    x, dens = roots.window(u_final)
+    inside = np.abs(x) <= ini["bump_halfwidth"]
     w1s = []
     for n, ens in zip(rt["counts"], ensembles):
         flowed = roots.root_flow(ens, rt["t"])
-        w1 = roots.wasserstein1(flowed, xs, dens)
+        w1 = roots.wasserstein1(flowed, x[inside], dens[inside])
         summary.note(f"w1_n_{n}", w1)
         summary.check("roots", f"w1_finite_and_small_n_{n}", w1, rt["w1_max"], np.isfinite(w1) and w1 < rt["w1_max"])
         w1s.append(w1)

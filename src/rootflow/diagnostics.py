@@ -125,16 +125,22 @@ def smoothing_fit(traj, s: float, eps0: float, t_min: float) -> SmoothingReport:
     )
 
 
-def stability_compare(traj1, traj2) -> StabilityReport:
-    """Per-snapshot L-infinity gap d(t) = max |u1 - u2| between two runs on a
-    common snapshot grid, plus the smallest G with d(t) <= G d(0)."""
+def snapshot_distances(traj1, traj2, norm) -> list:
+    """norm(u1 - u2) at each snapshot of two runs whose times agree to 1e-12."""
     t1, t2 = traj1.times, traj2.times
     if len(t1) != len(t2) or any(abs(a - b) > 1e-12 for a, b in zip(t1, t2)):
         raise ValueError("trajectories disagree on snapshot times")
     dists = []
     for (_, u1), (_, u2) in zip(traj1.snapshots, traj2.snapshots):
         spectral.check_same_grid(u1, u2)
-        dists.append(float(np.abs(u1.values - u2.values).max()))
+        dists.append(norm(RealField(u1.grid, u1.values - u2.values)))
+    return dists
+
+
+def stability_compare(traj1, traj2) -> StabilityReport:
+    """Per-snapshot L-infinity gap d(t) = max |u1 - u2| between two runs on a
+    common snapshot grid, plus the smallest G with d(t) <= G d(0)."""
+    dists = snapshot_distances(traj1, traj2, lambda d: float(np.abs(d.values).max()))
     d0 = dists[0]
     growth = 0.0 if d0 == 0.0 else max(d / d0 for d in dists)
-    return StabilityReport(tuple(t1), tuple(dists), growth)
+    return StabilityReport(tuple(traj1.times), tuple(dists), growth)

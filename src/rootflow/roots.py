@@ -51,6 +51,16 @@ class RootEnsemble:
         return float(self.roots[-1] - self.roots[0])
 
 
+def _cdf(x: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Trapezoid CDF of a nonnegative density table, normalized to end at 1."""
+    if np.any(density < 0):
+        raise ValueError("density must be nonnegative")
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))])
+    if cdf[-1] <= 0:
+        raise ValueError("density has zero total mass")
+    return cdf / cdf[-1]
+
+
 def quantile_sample(x: np.ndarray, density: np.ndarray, n: int) -> RootEnsemble:
     """Deterministic n-point sample at the (j - 1/2)/n quantiles of a density.
 
@@ -58,40 +68,35 @@ def quantile_sample(x: np.ndarray, density: np.ndarray, n: int) -> RootEnsemble:
     inverted by monotone linear interpolation.
     """
     x = np.asarray(x, dtype=float)
-    density = np.asarray(density, dtype=float)
     if n < 2:
         raise ValueError("need n >= 2 sample points")
-    if np.any(density < 0):
-        raise ValueError("density must be nonnegative")
-    increments = 0.5 * (density[1:] + density[:-1]) * np.diff(x)
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    total = cdf[-1]
-    if total <= 0:
-        raise ValueError("density has zero total mass")
-    cdf = cdf / total
+    cdf = _cdf(x, np.asarray(density, dtype=float))
     targets = (np.arange(n) + 0.5) / n
     # keep the interpolation table strictly increasing where the density
     # vanishes by collapsing flat runs of the CDF
     keep = np.concatenate([[True], np.diff(cdf) > 0])
-    roots = np.interp(targets, cdf[keep], x[keep])
-    if np.any(np.diff(roots) <= 0):
-        raise ValueError("quantile sample produced coincident roots")
-    return RootEnsemble(roots, n0=n, k=0)
+    return RootEnsemble(np.interp(targets, cdf[keep], x[keep]), n0=n, k=0)
+
+
+def seam_centred(x: np.ndarray) -> np.ndarray:
+    """Map circle points in [0, 2pi) to [-pi, pi), so the seam sits at +-pi."""
+    return np.where(x >= np.pi, x - 2.0 * np.pi, x)
+
+
+def window(u):
+    """(x, values) of a periodic field, x seam-centred and sorted increasing."""
+    x = seam_centred(u.grid.points)
+    order = np.argsort(x)
+    return x[order], u.values[order]
 
 
 def quantile_sample_field(u, margin: float = 0.5, n: int = 100) -> RootEnsemble:
     """Quantile-sample a periodic field treated as a density on the window
     (-pi + margin, pi - margin); the support must not touch the seam."""
-    x = np.where(u.grid.points >= np.pi, u.grid.points - 2.0 * np.pi, u.grid.points)
-    order = np.argsort(x)
-    x = x[order]
-    vals = u.values[order]
+    x, vals = window(u)
     inside = np.abs(x) <= np.pi - margin
     outside_mass = u.grid.dx * np.sum(vals[~inside])
-    total_mass = u.grid.dx * np.sum(vals)
-    if total_mass <= 0:
-        raise ValueError("field has zero total mass")
-    if outside_mass > 1e-8 * total_mass:
+    if outside_mass > 1e-8 * u.grid.dx * np.sum(vals):
         raise ValueError(
             f"density support reaches the periodic seam "
             f"(mass {outside_mass:.3e} outside the window)"
@@ -171,19 +176,9 @@ def wasserstein1(e: RootEnsemble, x, density) -> float:
     Both measures are normalized to probability first.
     """
     x = np.asarray(x, dtype=float)
-    density = np.asarray(density, dtype=float)
-    if np.any(density < 0):
-        raise ValueError("density must be nonnegative")
-    increments = 0.5 * (density[1:] + density[:-1]) * np.diff(x)
-    dens_cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    dens_mass = dens_cdf[-1]
-    if dens_mass <= 0:
-        raise ValueError("density has zero total mass")
-    dens_cdf = dens_cdf / dens_mass
+    dens_cdf = _cdf(x, np.asarray(density, dtype=float))
     roots = e.roots
-    lo = min(x[0], roots[0])
-    hi = max(x[-1], roots[-1])
-    breakpoints = np.unique(np.concatenate([x, roots, [lo, hi]]))
+    breakpoints = np.unique(np.concatenate([x, roots]))
     f_dens = np.interp(breakpoints, x, dens_cdf, left=0.0, right=dens_cdf[-1])
     f_emp = (1.0 / len(e)) * np.searchsorted(roots, breakpoints, side="right")
     # the empirical CDF is constant between breakpoints (it jumps at roots,

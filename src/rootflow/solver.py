@@ -7,12 +7,13 @@ The composition is second order in time and reduces to plain Heun when
 delta = 0.  The stages are sums of the spectra the fields keep.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dynamics, spectral
-from .diagnostics import dissipation, mass
+from .diagnostics import dissipation, mass, snapshot_distances
 from .spectral import PeriodicGrid, RealField
 
 
@@ -132,6 +133,15 @@ def _record(state: SolverState, delta: float) -> StepRecord:
     )
 
 
+def _append_record(traj: Trajectory, state: SolverState, delta: float):
+    """Append the record of state; one sum tests every field for finiteness."""
+    r = _record(state, delta)
+    if not math.isfinite(r.t + r.dt + r.min_u + r.max_u + r.mass + r.h12 + r.dissipation):
+        if bad := [name for name, v in vars(r).items() if not math.isfinite(v)]:  # empty if only the sum overflowed
+            raise SolverAbort(f"non-finite {', '.join(bad)} at t={state.t:.6g}, step {len(traj.records)}")
+    traj.records.append(r)
+
+
 def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     """Integrate from the mollified initial data to t_end.
 
@@ -147,15 +157,19 @@ def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     state = SolverState(t=0.0, u=u)
     traj = Trajectory()
     traj.snapshots.append((0.0, u))
-    traj.records.append(_record(state, cfg.delta))
+    _append_record(traj, state, cfg.delta)
     for stop in sorted({*cfg.snapshot_times, cfg.t_end} - {0.0}):
         while state.t < stop:
             dt = stable_dt(state, cfg)
+            if dt < np.spacing(stop):  # at this dt, stop lies over 2^52 steps from t = 0
+                raise SolverAbort(
+                    f"dt={dt:.3e} at t={state.t:.6g}, step {len(traj.records)}: below one float step of stop {stop:.6g}"
+                )
             if state.t + dt >= stop:
                 state = replace(step(state, stop - state.t, cfg), t=stop)
             else:
                 state = step(state, dt, cfg)
-            traj.records.append(_record(state, cfg.delta))
+            _append_record(traj, state, cfg.delta)
         traj.snapshots.append((stop, state.u))
     return traj
 
@@ -181,14 +195,8 @@ def delta_continuation(u0: RealField, deltas, t_end: float, cfg: SolverConfig):
             raise SolverAbort(f"continuation member delta={d:g} failed: {exc}") from exc
     distances = []
     for (da, ta), (db, tb) in zip(runs, runs[1:]):
-        if ta.times != tb.times:
-            raise ValueError("continuation members disagree on snapshot times")
-        d_h12 = 0.0
-        d_l2 = 0.0
-        for (_, ua), (_, ub) in zip(ta.snapshots, tb.snapshots):
-            diff = RealField(ua.grid, ua.values - ub.values)
-            d_h12 = max(d_h12, spectral.sobolev_seminorm(diff, 0.5))
-            d_l2 = max(d_l2, spectral.l2_norm(diff))
+        d_h12 = max(snapshot_distances(ta, tb, lambda d: spectral.sobolev_seminorm(d, 0.5)))
+        d_l2 = max(snapshot_distances(ta, tb, spectral.l2_norm))
         if not (np.isfinite(d_h12) and np.isfinite(d_l2)):
             raise SolverAbort(f"non-finite continuation distance at delta={db:g}")
         distances.append({"h12": d_h12, "l2": d_l2})

@@ -1,9 +1,12 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rootflow
 from rootflow import cli, solver
 from rootflow.cli import ConfigError
 from rootflow.solver import SolverConfig
@@ -291,3 +294,29 @@ class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))
         assert rc == cli.EXIT_CODES["config"]
+
+    @pytest.mark.parametrize("override", ["solver.cfl=1e-300", "solver.dt_max=1e-300"])
+    def test_step_below_float_resolution_aborts(self, tmp_path, override):
+        # such a run would need more than 2^52 steps; in a child process, so
+        # that a hang fails the test at the timeout rather than stalling it
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rootflow.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootflow.cli", "solve", "--out", str(tmp_path), "--set", "grid.n=64",
+             "--set", "solver.t_end=0.1", "--set", override],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == cli.EXIT_CODES["abort"]
+        assert "run aborted:" in proc.stderr and "dt=" in proc.stderr and "step 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_diagnostics_abort(self, tmp_path, capsys):
+        # squares of data near 1e200 overflow in the seminorm and dissipation
+        rc = self.run(
+            "solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", "initial.c0=1e200", "--set", "initial.amplitude=3e199",
+        )
+        assert rc == cli.EXIT_CODES["abort"]
+        err = capsys.readouterr().err
+        assert "run aborted:" in err and "h12" in err and "step 0" in err
+        assert not (tmp_path / "diagnostics.csv").exists()

@@ -241,6 +241,15 @@ class TestQuantileSampling:
         # symmetric density: quantiles are symmetric about 0
         assert np.abs(e.roots + e.roots[::-1]).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [96, 64])
+    def test_window(self, n):
+        # an even n that is no power of two, and one that is
+        u = RealField(PeriodicGrid(n), np.random.default_rng(n).uniform(size=n))
+        x, vals = roots.window(u)
+        assert np.all(np.diff(x) > 0)
+        assert x[0] >= -np.pi and x[-1] < np.pi
+        assert np.array_equal(np.sort(vals), np.sort(u.values))
+
 
 class TestWasserstein:
     def test_matching_atoms_zero(self):
@@ -267,6 +276,11 @@ class TestWasserstein:
         e = RootEnsemble(np.array([0.5]), n0=1)
         with pytest.raises(ValueError):
             roots.wasserstein1(e, np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+    def test_rejects_zero_mass_density(self):
+        e = RootEnsemble(np.array([0.5]), n0=1)
+        with pytest.raises(ValueError, match="zero total mass"):
+            roots.wasserstein1(e, np.array([0.0, 0.5, 1.0]), np.zeros(3))
 
     def test_matches_segment_loop(self):
         # reference: integrate |F_emp - F_dens| segment by segment, splitting

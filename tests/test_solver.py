@@ -168,6 +168,29 @@ class TestContinuation:
         assert dists[1]["h12"] < dists[0]["h12"]
         assert dists[1]["l2"] < dists[0]["l2"]
 
+    @pytest.mark.parametrize("shift, agree", [(1e-9, False), (1e-14, True)])
+    def test_snapshot_times_must_agree(self, monkeypatch, shift, agree):
+        # members pair snapshot by snapshot under the rule stability_compare
+        # uses: times agree to 1e-12
+        solve = solver.solve
+
+        def shifted_solve(u0, cfg):
+            traj = solve(u0, cfg)
+            if cfg.delta < 2e-2:
+                t, u = traj.snapshots[1]
+                traj.snapshots[1] = (t + shift, u)
+            return traj
+
+        monkeypatch.setattr(solver, "solve", shifted_solve)
+        u0 = cosine_datum(PeriodicGrid(64))
+        cfg = SolverConfig(cfl=0.4, snapshot_times=(0.05,))
+        if agree:
+            _, dists = solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.1, cfg)
+            assert len(dists) == 2
+        else:
+            with pytest.raises(ValueError, match="disagree on snapshot times"):
+                solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.1, cfg)
+
 
 class TestRoughData:
     def test_seeded_and_reproducible(self):
