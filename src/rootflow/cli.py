@@ -293,13 +293,13 @@ def build_initial(cfg):
     elif kind == "cosine":
         u0 = RealField(grid, ini["c0"] + ini["amplitude"] * np.cos(ini["mode"] * grid.points))
     elif kind == "rough":
-        u0 = solver.rough_initial_data(
-            grid,
-            c0=ini["c0"],
-            eta=ini["eta"],
-            amplitude=ini["amplitude"],
-            seed=cfg["solver"]["seed"],
-        )
+        try:
+            u0 = solver.rough_initial_data(grid, ini["c0"], ini["eta"], ini["amplitude"], cfg["solver"]["seed"])
+        except ValueError as exc:
+            raise ConfigError(
+                f"no finite rough datum at initial.eta = {ini['eta']:g}, initial.amplitude = "
+                f"{ini['amplitude']:g}, initial.c0 = {ini['c0']:g}, grid.n = {grid.n}: {exc}"
+            ) from exc
     elif kind == "bump":
         b = bump_profile(roots.seam_centred(grid.points), ini["bump_halfwidth"])
         b /= grid.dx * np.sum(b)  # unit mass before the floor

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, spectral
+from . import spectral
 from .spectral import RealField
 
 ENERGY_BOUND = 10.0
@@ -54,8 +54,7 @@ def mass(u: RealField) -> float:
 
 
 def dissipation(u: RealField, delta: float) -> float:
-    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx."""
-    dynamics._require_positive(u, delta)
+    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx, for u > 0 or delta > 0."""
     F = spectral.analytic_signal(u)
     lu = spectral.analytic_signal(u, dx=True).imag
     integrand = F.real * lu**2 / (delta + F.real**2 + F.imag**2)

@@ -13,6 +13,9 @@ is equivalent, for positive u, to the quasilinear form
 with L the half Laplacian.  The regularized problem adds delta to the
 denominators and a delta * u_xx viscosity term.  Everything here is read
 off the analytic signal F = u + iHu and its derivative F_x = u_x + iLu.
+
+The kernels are pure functions of u and do not check their precondition,
+delta >= 0 and, at delta = 0, u > 0; the solver's floor holds it.
 """
 
 from dataclasses import dataclass
@@ -22,33 +25,14 @@ import numpy as np
 from . import spectral
 from .spectral import RealField
 
-# fields with delta=0 must stay strictly above this floor; rounding noise
-# around an exact zero would otherwise blow up the quotients
-EPS_POS = 1e-10
-
-
-class PositivityError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Coefficients:
     V: np.ndarray
     gamma: np.ndarray
 
 
-def _require_positive(u: RealField, delta: float):
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0.0 and u.min() <= EPS_POS:
-        raise PositivityError(
-            f"min u = {u.min():.3e} <= {EPS_POS:.0e} with delta = 0"
-        )
-
-
 def coefficients(u: RealField, delta: float) -> Coefficients:
     """Transport velocity V and dissipation weight gamma."""
-    _require_positive(u, delta)
     F = spectral.analytic_signal(u)
     denom = delta + F.real**2 + F.imag**2
     return Coefficients(-F.imag / (np.pi * denom), F.real / (np.pi * denom))
@@ -65,7 +49,6 @@ def nonlinear_tendency(u: RealField, delta: float) -> np.ndarray:
     """
     if delta == 0.0:
         return tendency_flux(u)
-    _require_positive(u, delta)
     F = spectral.analytic_signal(u)
     Fx = spectral.analytic_signal(u, dx=True)
     return np.fft.rfft(-(np.conj(F) * Fx).imag / (np.pi * (delta + F.real**2 + F.imag**2)))
@@ -74,6 +57,5 @@ def nonlinear_tendency(u: RealField, delta: float) -> np.ndarray:
 def tendency_flux(u: RealField) -> np.ndarray:
     """rfft spectrum of the flux-form tendency -(1/pi) d/dx arg F, where
     arg F = arctan(Hu/u) for positive u; its mean bin is exactly zero."""
-    _require_positive(u, 0.0)
     c = np.fft.rfft(np.angle(spectral.analytic_signal(u)) / np.pi)
     return -(c * spectral.derivative_multiplier(u.grid))

@@ -18,7 +18,7 @@ from .spectral import PeriodicGrid, RealField
 
 
 class SolverAbort(RuntimeError):
-    """Raised when positivity or finiteness is lost during a run."""
+    """Raised when a run cannot go on; the message names t and the cause."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,15 @@ def mollified_initial(u0: RealField, delta: float) -> RealField:
     return spectral.heat_propagate(u0, delta)
 
 
+def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealField:
+    """u if it is finite with min u > cfg.pos_floor, the one positivity rule of a run; else abort."""
+    if not (u.min() > cfg.pos_floor and np.isfinite(u.values).all()):
+        raise SolverAbort(
+            f"{what} at t={t:.6g} non-finite or not above floor {cfg.pos_floor:.3e}: min u = {u.min():.3e}"
+        )
+    return u
+
+
 def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max)."""
     coeffs = dynamics.coefficients(state.u, cfg.delta)
@@ -97,27 +106,18 @@ def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
 
 
 def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
-    """One integrating-factor Heun step of size dt."""
+    """One integrating-factor Heun step of size dt; both stages must be admissible."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = state.u
+    t = state.t + dt
     decay = spectral.heat_multiplier(u.grid, cfg.delta * dt)
-    try:
-        k1 = dynamics.nonlinear_tendency(u, cfg.delta)
-        pred = spectral.from_spectrum(u.grid, (u.spectrum + dt * k1) * decay)
-        k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
-    except dynamics.PositivityError as exc:
-        raise SolverAbort(f"stage positivity loss at t={state.t:.6g}: {exc}") from exc
+    k1 = dynamics.nonlinear_tendency(u, cfg.delta)
+    pred = _admissible(spectral.from_spectrum(u.grid, (u.spectrum + dt * k1) * decay), cfg, t, "predictor")
+    k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
     c_new = (u.spectrum + 0.5 * dt * k1) * decay + 0.5 * dt * k2
-    u_new = spectral.from_spectrum(u.grid, c_new)
-    if not np.all(np.isfinite(u_new.values)):
-        raise SolverAbort(f"non-finite field after step at t={state.t:.6g}")
-    if u_new.min() <= cfg.pos_floor:
-        raise SolverAbort(
-            f"positivity lost at t={state.t + dt:.6g}: "
-            f"min u = {u_new.min():.3e} <= floor {cfg.pos_floor:.1e}"
-        )
-    return SolverState(t=state.t + dt, u=u_new, last_dt=dt)
+    u_new = _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
+    return SolverState(t=t, u=u_new, last_dt=dt)
 
 
 def _record(state: SolverState, delta: float) -> StepRecord:
@@ -135,7 +135,8 @@ def _record(state: SolverState, delta: float) -> StepRecord:
 
 def _append_record(traj: Trajectory, state: SolverState, delta: float):
     """Append the record of state; one sum tests every field for finiteness."""
-    r = _record(state, delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # the test below names what overflowed
+        r = _record(state, delta)
     if not math.isfinite(r.t + r.dt + r.min_u + r.max_u + r.mass + r.h12 + r.dissipation):
         if bad := [name for name, v in vars(r).items() if not math.isfinite(v)]:  # empty if only the sum overflowed
             raise SolverAbort(f"non-finite {', '.join(bad)} at t={state.t:.6g}, step {len(traj.records)}")
@@ -149,11 +150,7 @@ def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     and at t_end, which steps land on exactly.  A scalar record is
     appended for the initial state and after every accepted step.
     """
-    u = mollified_initial(u0, cfg.delta)
-    if u.min() <= cfg.pos_floor:
-        raise SolverAbort(
-            f"mollified initial data below floor: min u = {u.min():.3e}"
-        )
+    u = _admissible(mollified_initial(u0, cfg.delta), cfg, 0.0, "mollified initial data")
     state = SolverState(t=0.0, u=u)
     traj = Trajectory()
     traj.snapshots.append((0.0, u))
@@ -218,5 +215,6 @@ def rough_initial_data(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n // 2 - 1)
     c[1:-1] = (1.0 + k[1:-1]) ** (-1.0 - eta) * np.exp(1j * phases)
     r = np.fft.irfft(c * grid.n, n=grid.n)
-    r *= amplitude / np.abs(r).max()
-    return RealField(grid, r + (c0 - r.min()))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r *= amplitude / np.abs(r).max()  # overflows if every mode underflowed; RealField rejects it
+        return RealField(grid, r + (c0 - r.min()))

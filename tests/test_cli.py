@@ -239,16 +239,21 @@ class TestMain:
             ("stability", "stability.gaps=1"),
             ("roots-compare", "initial.bump_floor=1e300"),
             ("roots-compare", "initial.bump_halfwidth=3.0"),
+            pytest.param("solve", "initial.kind=rough initial.eta=1060", id="solve-rough-initial.eta=1060"),
+            pytest.param("solve", "initial.kind=rough initial.eta=1e6", id="solve-rough-initial.eta=1e6"),
         ],
     )
     def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
-        # settings invalid together, lists that would measure nothing and
-        # non-positive initial data all end as config errors, not tracebacks
-        rc = self.run(command, "--out", str(tmp_path), "--set", "grid.n=64", "--set", override)
+        # settings invalid together, lists that would measure nothing,
+        # non-positive initial data and rough data whose every mode underflows
+        # all end as config errors, not tracebacks or warnings
+        sets = [arg for kv in override.split() for arg in ("--set", kv)]
+        rc = self.run(command, "--out", str(tmp_path), "--set", "grid.n=64", *sets)
         assert rc == cli.EXIT_CODES["config"]
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+        assert "initial.eta" in err or "initial.eta" not in override
 
     @pytest.mark.parametrize(
         "key, value",
@@ -309,7 +314,6 @@ class TestMain:
         assert "run aborted:" in proc.stderr and "dt=" in proc.stderr and "step 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_diagnostics_abort(self, tmp_path, capsys):
         # squares of data near 1e200 overflow in the seminorm and dissipation
         rc = self.run(
@@ -320,3 +324,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "run aborted:" in err and "h12" in err and "step 0" in err
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    def test_scaled_datum_runs(self, tmp_path, capsys):
+        # the default cosine run scaled by 2^-40, floor 0: the equation is
+        # homogeneous of degree zero, so a datum of any scale must run
+        rc = self.run(
+            "solve", "--out", str(tmp_path), "--set", "grid.n=64",
+            "--set", "initial.c0=9.094947017729282e-13", "--set", "initial.amplitude=2.7284841053187847e-13",
+            "--set", "solver.t_end=9.094947017729283e-14", "--set", "solver.pos_floor=0",
+        )
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err

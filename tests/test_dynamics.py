@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootflow import dynamics, spectral
-from rootflow.dynamics import PositivityError
+from rootflow import dynamics, solver, spectral
 from rootflow.spectral import PeriodicGrid, RealField
 
 from conftest import (
@@ -45,18 +44,6 @@ class TestCoefficients:
         c0 = u.min()
         assert co.gamma.max() <= 1.0 / (np.pi * c0) + 1e-12
         assert np.abs(co.V).max() <= 1.0 / (2.0 * np.pi * c0) + 1e-12
-
-    def test_rejects_nonpositive_at_delta_zero(self, grid):
-        u = RealField(grid, np.cos(grid.points))
-        with pytest.raises(PositivityError):
-            dynamics.coefficients(u, 0.0)
-        # a positive delta makes the same field admissible
-        dynamics.coefficients(u, 1e-2)
-
-    def test_rejects_negative_delta(self, grid):
-        u = RealField(grid, np.ones(grid.n))
-        with pytest.raises(ValueError):
-            dynamics.coefficients(u, -1e-3)
 
 
 class TestTendencies:
@@ -117,12 +104,12 @@ class TestTendencies:
         assert err[2] < err[0]
         assert err[2] < 1e-6
 
-    def test_tendency_positivity_guard(self, grid):
+    def test_solver_floor_keeps_kernels_positive(self, grid):
+        # the kernels do not check u > 0; the solver's floor does, on the
+        # mollified datum before any kernel sees it
         u = RealField(grid, np.full(grid.n, 1e-12))
-        with pytest.raises(PositivityError):
-            dynamics.tendency_flux(u)
-        with pytest.raises(PositivityError):
-            dynamics.nonlinear_tendency(u, 0.0)
+        with pytest.raises(solver.SolverAbort, match="mollified initial data"):
+            solver.solve(u, solver.SolverConfig(t_end=0.1))
 
 
 class TestLinearization:

@@ -42,13 +42,14 @@ class TestStepping:
         with pytest.raises(ValueError):
             solver.step(state, 0.0, SolverConfig())
 
-    def test_step_aborts_on_positivity_loss(self):
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_step_aborts_on_positivity_loss(self, delta):
         grid = PeriodicGrid(64)
-        # a huge step drives the explicit update through zero
+        # a huge step drives the explicit predictor through zero
         u = RealField(grid, 0.02 + 0.0199 * np.cos(grid.points))
         state = SolverState(t=0.0, u=u)
-        with pytest.raises(SolverAbort):
-            solver.step(state, 50.0, SolverConfig())
+        with pytest.raises(SolverAbort, match=r"predictor at t=50 non-finite or not above floor 1\.000e-10: min u = -"):
+            solver.step(state, 50.0, SolverConfig(delta=delta))
 
     def test_constant_datum_is_fixed_point(self):
         grid = PeriodicGrid(64)
@@ -134,6 +135,26 @@ class TestSolve:
         maxs = [r.max_u for r in traj.records]
         assert min(mins) >= mins[0] - 1e-10
         assert max(maxs) <= maxs[0] + 1e-10
+
+    @pytest.mark.parametrize("lam", [2.0**-40, 2.0**40], ids=["2^-40", "2^40"])
+    def test_scale_covariance(self, lam):
+        # the equation is homogeneous of degree zero, so lam u(t/lam) solves
+        # it too; a power of two scales every float operation exactly, so
+        # with the floor and the times scaled the run is lam times the
+        # unscaled one, bit for bit
+        grid = PeriodicGrid(64)
+        u0 = solver.rough_initial_data(grid, seed=1)
+        base = solver.solve(u0, SolverConfig(t_end=0.2, snapshot_times=(0.1,)))
+        scaled = solver.solve(
+            RealField(grid, lam * u0.values),
+            SolverConfig(t_end=lam * 0.2, snapshot_times=(lam * 0.1,), pos_floor=lam * 1e-10),
+        )
+        assert len(scaled.records) == len(base.records)
+        for (ts, us), (t, u) in zip(scaled.snapshots, base.snapshots, strict=True):
+            assert ts == lam * t
+            assert np.array_equal(us.values, lam * u.values)
+        for rs, r in zip(scaled.records, base.records):
+            assert vars(rs) == {name: lam * v for name, v in vars(r).items()}
 
     def test_temporal_order_richardson(self):
         grid = PeriodicGrid(64)
