@@ -288,10 +288,16 @@ def build_initial(cfg):
     grid = PeriodicGrid(cfg["grid"]["n"])
     ini = cfg["initial"]
     kind = ini["kind"]
-    if kind == "constant":
+    if kind == "constant":  # a finite c0 cannot overflow
         u0 = RealField(grid, np.full(grid.n, ini["c0"]))
     elif kind == "cosine":
-        u0 = RealField(grid, ini["c0"] + ini["amplitude"] * np.cos(ini["mode"] * grid.points))
+        with np.errstate(over="ignore"):  # the test below names data that overflowed
+            values = ini["c0"] + ini["amplitude"] * np.cos(ini["mode"] * grid.points)
+        if not np.isfinite(values).all():
+            raise ConfigError(
+                f"no finite cosine datum at initial.c0 = {ini['c0']:g}, initial.amplitude = {ini['amplitude']:g}"
+            )
+        u0 = RealField(grid, values)
     elif kind == "rough":
         try:
             u0 = solver.rough_initial_data(grid, ini["c0"], ini["eta"], ini["amplitude"], cfg["solver"]["seed"])

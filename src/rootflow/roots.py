@@ -8,7 +8,10 @@ each interval holds exactly one root of p'.  Writing x = r_j + y*gap_j, that
 root is the zero in (0, 1) of the smooth function
 h(y) = y(1-y) gap_j g(x) = 1 - 2y + y(1-y) gap_j A(x), where A leaves out the
 two bracketing poles; it is found by Newton's method on h, safeguarded by
-bisection.
+bisection.  A flow starts each pass from the fractions y the previous pass
+found, averaged over neighbouring gaps, and a row stops after a Newton step
+whose square is below the tolerance rather than spend one more Cauchy sum to
+confirm it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_ROOT_GAP = 1e-13
-NEWTON_YTOL = 1e-14  # a row stops once its step in y falls below this
+NEWTON_YTOL = 1e-14  # a row stops once its step in y, or its Newton step squared, falls below this
 NEWTON_MAX_ITER = 64  # bisection alone reaches NEWTON_YTOL in about 47
 BLOCK_ROWS = 128  # work arrays are BLOCK_ROWS x n, never n x n
 
@@ -104,17 +107,19 @@ def quantile_sample_field(u, margin: float = 0.5, n: int = 100) -> RootEnsemble:
     return quantile_sample(x[inside], vals[inside], n)
 
 
-def derivative_roots(e: RootEnsemble) -> RootEnsemble:
+def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
     """Roots of p' for p(x) = prod (x - r_i), one per interlacing interval.
 
     Each root is x = r_j + y*gap_j with h(y) = 1 - 2y + y(1-y) gap_j A(x) = 0,
     where A sums 1/(x - r_i) over every root but r_j and r_{j+1}, so
-    h(0) = 1 and h(1) = -1.  Every row starts at y = 1/2 and keeps a bracket
-    [lo, hi] on the sign change of h.  A Newton step that is not finite,
-    leaves the bracket or lands on its far end is replaced by the bracket
-    midpoint.  A row stops once its step in y is below NEWTON_YTOL, or below
-    two float steps of x across the gap.  Rows go in blocks of BLOCK_ROWS,
-    so memory is O(BLOCK_ROWS * n).
+    h(0) = 1 and h(1) = -1.  Row j starts at y = start[j], strictly inside
+    (0, 1) (y = 1/2 when start is None), and keeps a bracket [lo, hi] on the
+    sign change of h.  A Newton step that is not finite, leaves the bracket
+    or lands on its far end is replaced by the bracket midpoint.  A row stops
+    after a Newton step below sqrt(NEWTON_YTOL), since Newton converges
+    quadratically and leaves an error about the step squared, or after any
+    step below NEWTON_YTOL or below two float steps of x across the gap.
+    Rows go in blocks of BLOCK_ROWS, so memory is O(BLOCK_ROWS * n).
     """
     r = e.roots
     if r.size < 2:
@@ -124,14 +129,17 @@ def derivative_roots(e: RootEnsemble) -> RootEnsemble:
         raise ValueError(
             f"repeated roots (gap < {MIN_ROOT_GAP:g}): interlacing bracket degenerates"
         )
-    y, lo, hi = np.full(gaps.size, 0.5), np.zeros(gaps.size), np.ones(gaps.size)
+    y = np.full(gaps.size, 0.5) if start is None else np.array(start, dtype=float)
+    if y.shape != gaps.shape or not np.all((y > 0.0) & (y < 1.0)):  # False for nan
+        raise ValueError(f"start needs {gaps.size} fractions strictly inside (0, 1)")
+    lo, hi = np.zeros(gaps.size), np.ones(gaps.size)
     ytol = np.maximum(NEWTON_YTOL, 2.0 * np.spacing(np.maximum(np.abs(r[:-1]), np.abs(r[1:]))) / gaps)
     work = np.empty((min(BLOCK_ROWS, gaps.size), r.size))
     for first in range(0, gaps.size, BLOCK_ROWS):
         rows = np.arange(first, min(first + BLOCK_ROWS, gaps.size))
         for _ in range(NEWTON_MAX_ITER):
             w, m, yr, g = work[: rows.size], np.arange(rows.size), y[rows], gaps[rows]
-            with np.errstate(divide="ignore"):  # x may round onto r_j or r_{j+1}, poles dropped below
+            with np.errstate(divide="ignore", over="ignore"):  # x may round onto or beside r_j or r_{j+1}, dropped below
                 np.reciprocal(np.subtract((r[rows] + yr * g)[:, None], r, out=w), out=w)
             w[m, rows] = w[m, rows + 1] = 0.0  # h carries the bracketing poles exactly
             a = w.sum(axis=1)  # pairwise summation keeps cancellation small
@@ -145,7 +153,8 @@ def derivative_roots(e: RootEnsemble) -> RootEnsemble:
             # floats of x that straddle the root
             newton = ((cand > lo[rows]) & (cand < hi[rows])) | (cand == yr)  # False for nan
             y[rows] = np.where(newton, cand, 0.5 * (lo[rows] + hi[rows]))
-            rows = rows[np.abs(y[rows] - yr) >= ytol[rows]]
+            step = np.abs(y[rows] - yr)
+            rows = rows[(step >= ytol[rows]) & ~(newton & (step < NEWTON_YTOL**0.5))]
             if rows.size == 0:
                 break
         else:
@@ -163,9 +172,13 @@ def root_flow(e: RootEnsemble, t: float) -> RootEnsemble:
     k = int(np.floor(t * e.n0))
     if e.k + k > e.n0 - 1:
         raise ValueError(f"t={t} removes more roots than the ensemble has")
-    out = e
+    out, start = e, None
     for _ in range(k):
-        out = derivative_roots(out)
+        new = derivative_roots(out, start)
+        # each root's fraction of its gap moves little from pass to pass;
+        # the clip keeps a start that rounds onto an end inside (0, 1)
+        y = (new.roots - out.roots[:-1]) / np.diff(out.roots)
+        out, start = new, np.clip(0.5 * (y[:-1] + y[1:]), NEWTON_YTOL, 1.0 - NEWTON_YTOL)
     return out
 
 

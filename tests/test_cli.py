@@ -241,12 +241,16 @@ class TestMain:
             ("roots-compare", "initial.bump_halfwidth=3.0"),
             pytest.param("solve", "initial.kind=rough initial.eta=1060", id="solve-rough-initial.eta=1060"),
             pytest.param("solve", "initial.kind=rough initial.eta=1e6", id="solve-rough-initial.eta=1e6"),
+            pytest.param(
+                "solve", "initial.c0=1.5e308 initial.amplitude=1e308", id="solve-initial.c0=1.5e308-amplitude=1e308"
+            ),
         ],
     )
     def test_inconsistent_config_exit_code(self, tmp_path, capsys, command, override):
         # settings invalid together, lists that would measure nothing,
-        # non-positive initial data and rough data whose every mode underflows
-        # all end as config errors, not tracebacks or warnings
+        # non-positive initial data, rough data whose every mode underflows
+        # and cosine data that overflow all end as config errors, not
+        # tracebacks or warnings
         sets = [arg for kv in override.split() for arg in ("--set", kv)]
         rc = self.run(command, "--out", str(tmp_path), "--set", "grid.n=64", *sets)
         assert rc == cli.EXIT_CODES["config"]
@@ -254,6 +258,7 @@ class TestMain:
         assert "error:" in err
         assert "Traceback" not in err
         assert "initial.eta" in err or "initial.eta" not in override
+        assert "initial.c0" in err and "initial.amplitude" in err or "e308" not in override
 
     @pytest.mark.parametrize(
         "key, value",
@@ -324,6 +329,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "run aborted:" in err and "h12" in err and "step 0" in err
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["constant", "cosine", "rough"])
+    def test_non_finite_mollified_datum_abort(self, tmp_path, capsys, kind):
+        # the rfft of data near 1e308 overflows: the floor check, not a
+        # warning, reports the mollified datum
+        rc = self.run(
+            "solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.01",
+            "--set", "initial.c0=1e308", "--set", f"initial.kind={kind}",
+        )
+        assert rc == cli.EXIT_CODES["abort"]
+        err = capsys.readouterr().err
+        assert "run aborted:" in err and "mollified initial data" in err
+        assert "Traceback" not in err
 
     def test_scaled_datum_runs(self, tmp_path, capsys):
         # the default cosine run scaled by 2^-40, floor 0: the equation is

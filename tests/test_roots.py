@@ -28,8 +28,8 @@ def bisection_roots(r):
     return 0.5 * (lo + hi)
 
 
-def assert_matches_bisection(r):
-    out = roots.derivative_roots(RootEnsemble(r, n0=r.size)).roots
+def assert_matches_bisection(r, start=None):
+    out = roots.derivative_roots(RootEnsemble(r, n0=r.size), start).roots
     assert np.all(out > r[:-1]) and np.all(out < r[1:])
     # a float step of x bounds both solvers: on 1e-11 clusters near 0.5
     # the two differ by about one, with Newton the closer to the root
@@ -113,10 +113,22 @@ class TestDerivativeRoots:
         assert np.all(out.roots > r[:-1])
         assert np.all(out.roots < r[1:])
 
-    @given(r=clustered_roots())
+    @given(r=clustered_roots(), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_bisection(self, r):
+    def test_matches_bisection(self, r, data):
         assert_matches_bisection(r)
+        # and from any start strictly inside every gap, as a flow's warm start
+        fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        start = data.draw(st.lists(fraction, min_size=r.size - 1, max_size=r.size - 1))
+        assert_matches_bisection(r, np.array(start))
+
+    @pytest.mark.parametrize(
+        "start", [[0.5], [0.0, 0.5], [0.5, 1.0], [np.nan, 0.5]], ids=["length", "zero", "one", "nan"]
+    )
+    def test_rejects_bad_start(self, start):
+        e = RootEnsemble(np.array([-1.0, 0.0, 1.0]), n0=3)
+        with pytest.raises(ValueError, match="start"):
+            roots.derivative_roots(e, start)
 
     def test_newton_fallback(self):
         # a cluster at gaps of 1e-11, then two gaps 1e11 times wider: from
@@ -135,6 +147,19 @@ class TestDerivativeRoots:
         assert out.k == 36
         assert error_over_gap(out.roots, np.polynomial.hermite.hermgauss(84)[0]) <= 1e-8
         assert abs(out.roots.mean() - r.mean()) <= 1e-10 * (r[-1] - r[0])
+
+    def test_laguerre_oracle(self):
+        # d/dx L_n^(a) = -L_{n-1}^(a+1): 36 passes take the roots of L_120^(0)
+        # to those of L_84^(36), the eigenvalues of its Golub-Welsch Jacobi
+        # matrix (diagonal 2i + a + 1, off-diagonal sqrt(i (i + a))); the
+        # largest gap is about 18 times the smallest
+        r = np.polynomial.laguerre.laggauss(120)[0]
+        out = roots.root_flow(RootEnsemble(r, n0=120), 0.3)
+        assert out.k == 36
+        a, i = 36, np.arange(1, 84)
+        off = np.sqrt(i * (i + a))
+        jacobi = np.diag(2.0 * np.arange(84) + a + 1) + np.diag(off, 1) + np.diag(off, -1)
+        assert error_over_gap(out.roots, np.linalg.eigvalsh(jacobi)) <= 1e-8
 
     def test_chebyshev_oracle(self):
         # T_n' = n U_{n-1}; the gaps shrink like 1/n^2 toward +/-1
@@ -179,6 +204,23 @@ class TestRootFlow:
         e = RootEnsemble(np.sort(rng.uniform(-1, 1, 50)), n0=50)
         out = roots.root_flow(e, 0.3)
         assert out.k == 15 and len(out) == 35
+
+    def test_row_evaluations_per_pass(self, monkeypatch):
+        # every row evaluation is one Cauchy sum over all roots, with one
+        # reciprocal; the warm start and the quadratic last step hold the
+        # H_120 flow to t = 0.3 at 3 per root per pass
+        r = np.polynomial.hermite.hermgauss(120)[0]
+        rows = [0]
+        reciprocal = np.reciprocal
+
+        def counted(a, *args, **kwargs):
+            rows[0] += a.shape[0]
+            return reciprocal(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "reciprocal", counted)
+        out = roots.root_flow(RootEnsemble(r, n0=120), 0.3)
+        solved = np.arange(120 - out.k, 120).sum()  # pass i solves 119 - i roots
+        assert rows[0] <= 3.0 * solved
 
     def test_time_zero_identity(self):
         e = RootEnsemble(np.array([-1.0, 0.0, 1.0]), n0=3)
