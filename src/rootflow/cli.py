@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import diagnostics, roots, solver, spectral
-from .solver import SolverAbort, SolverConfig
+from .solver import SolverAbort, SolverConfig, StepLimitAbort
 from .spectral import PeriodicGrid, RealField
 
 EXIT_CODES = {
@@ -40,6 +40,7 @@ EXIT_CODES = {
     "smoothing": 8,
     "stability": 9,
     "roots": 10,
+    "max_steps": 11,
 }
 
 
@@ -77,6 +78,7 @@ SCHEMA = {
         "dt_max": (float, math.inf, lambda v: v > 0, "> 0"),
         "snapshot_times": (_list_of(float), (), None, ""),
         "pos_floor": (float, 1e-10, None, ""),
+        "max_steps": (int, 1_000_000, lambda v: v >= 1, ">= 1"),
         "seed": (int, 0, lambda v: v >= 0, ">= 0"),
     },
     "initial": {
@@ -550,7 +552,7 @@ def main(argv=None):
         return EXIT_CODES["config"]
     except SolverAbort as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
-        return EXIT_CODES["abort"]
+        return EXIT_CODES["max_steps" if isinstance(exc, StepLimitAbort) else "abort"]
     atomic_write(os.path.join(args.out, "summary.csv"), summary.text())
     for _category, name, value, threshold, ok in summary.rows:
         if ok is not None:

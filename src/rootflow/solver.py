@@ -21,6 +21,10 @@ class SolverAbort(RuntimeError):
     """Raised when a run cannot go on; the message names t and the cause."""
 
 
+class StepLimitAbort(SolverAbort):
+    """Raised when a run would need more than cfg.max_steps steps."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     delta: float = 0.0
@@ -29,6 +33,7 @@ class SolverConfig:
     dt_max: float = np.inf
     snapshot_times: tuple = ()
     pos_floor: float = 1e-10
+    max_steps: int = 1_000_000
 
     def __post_init__(self):
         # negated comparisons, so that nan fails each of them
@@ -42,6 +47,8 @@ class SolverConfig:
             raise ValueError(f"dt_max must be positive, got {self.dt_max}")
         if not (0 <= self.pos_floor < np.inf):
             raise ValueError(f"pos_floor must be finite and >= 0, got {self.pos_floor}")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         times = tuple(float(t) for t in self.snapshot_times)
         if not all(0 <= t <= self.t_end for t in times):
             raise ValueError("snapshot times must lie in [0, t_end]")
@@ -111,11 +118,16 @@ def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
         raise ValueError(f"dt must be positive, got {dt}")
     u = state.u
     t = state.t + dt
-    decay = spectral.heat_multiplier(u.grid, cfg.delta * dt)
     k1 = dynamics.nonlinear_tendency(u, cfg.delta)
-    pred = _admissible(spectral.from_spectrum(u.grid, (u.spectrum + dt * k1) * decay), cfg, t, "predictor")
+    c_pred = u.spectrum + dt * k1
+    c_new = u.spectrum + 0.5 * dt * k1
+    if cfg.delta > 0:  # at delta = 0 the factor is exactly 1
+        decay = spectral.heat_multiplier(u.grid, cfg.delta * dt)
+        c_pred *= decay
+        c_new *= decay
+    pred = _admissible(spectral.from_spectrum(u.grid, c_pred), cfg, t, "predictor")
     k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
-    c_new = (u.spectrum + 0.5 * dt * k1) * decay + 0.5 * dt * k2
+    c_new += 0.5 * dt * k2
     u_new = _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
     return SolverState(t=t, u=u_new, last_dt=dt)
 
@@ -159,6 +171,10 @@ def solve(u0: RealField, cfg: SolverConfig) -> Trajectory:
     _append_record(traj, state, cfg.delta)
     for stop in sorted({*cfg.snapshot_times, cfg.t_end} - {0.0}):
         while state.t < stop:
+            if len(traj.records) > cfg.max_steps:  # one record per step, plus the initial one
+                raise StepLimitAbort(
+                    f"step limit {cfg.max_steps} reached at t={state.t:.6g}, step {cfg.max_steps}, short of stop {stop:.6g}"
+                )
             dt = stable_dt(state, cfg)
             if dt < np.spacing(stop):  # at this dt, stop lies over 2^52 steps from t = 0
                 raise SolverAbort(
@@ -191,7 +207,7 @@ def delta_continuation(u0: RealField, deltas, t_end: float, cfg: SolverConfig):
         try:
             runs.append((d, solve(u0, run_cfg)))
         except SolverAbort as exc:
-            raise SolverAbort(f"continuation member delta={d:g} failed: {exc}") from exc
+            raise type(exc)(f"continuation member delta={d:g} failed: {exc}") from exc
     distances = []
     for (da, ta), (db, tb) in zip(runs, runs[1:]):
         d_h12 = max(snapshot_distances(ta, tb, lambda d: spectral.sobolev_seminorm(d, 0.5)))

@@ -4,8 +4,10 @@ analytic signal F = f + iHf.
 Everything here acts on real 2pi-periodic functions sampled on an
 equispaced grid.  Fields are stored in physical space; the spectral
 representation uses the rfft layout (coefficients for k = 0..n/2),
-which is exactly the Hermitian half of the full coefficient set, so
-real inverse transforms are automatic.
+which is exactly the Hermitian half of the full coefficient set.  Its
+one-sided extension (k = 0..n/2 only, 0 < k < n/2 doubled) is the
+spectrum of the analytic signal, so one complex inverse transform gives a
+field's samples and F together.
 
 Conventions:
   c_k = (1/n) sum_j f(x_j) exp(-i k x_j),   so c_0 is the mean.
@@ -87,14 +89,37 @@ class RealField:
 
 def from_spectrum(grid: PeriodicGrid, c: np.ndarray) -> RealField:
     """The field whose rfft is c, which it keeps, read-only, as its spectrum.
-    The samples come fresh from irfft, so RealField's copy and finiteness
+    One complex ifft of the one-sided spectrum gives F = f + iHf, kept for
+    analytic_signal, and the samples Re F; bins 0 and n/2 lose their
+    imaginary parts, as in irfft.  It is the one inverse transform of each
+    field a solver step makes (5 transforms a step at delta = 0, 6 at
+    delta > 0).  The samples come fresh, so RealField's copy and finiteness
     check are skipped: a caller whose c may be non-finite checks the samples."""
     f = object.__new__(RealField)
-    values = np.fft.irfft(c, n=grid.n)
-    values.setflags(write=False)
-    c.setflags(write=False)
-    f.__dict__.update(grid=grid, values=values, spectrum=c)
+    F = np.fft.ifft(_one_sided(grid, c))
+    values = F.real.copy()
+    for a in (F, values, c):
+        a.setflags(write=False)
+    f.__dict__.update(grid=grid, values=values, spectrum=c, _analytic={False: F})
     return f
+
+
+def _one_sided(grid: PeriodicGrid, c: np.ndarray) -> np.ndarray:
+    """Length-n spectrum of F = f + iHf from the rfft layout c: c_0, 2 c_k for
+    0 < k < n/2 and c_{n/2}, the last with only its real part, like c_0."""
+    spec = np.zeros(grid.n, dtype=complex)
+    np.multiply(c, _analytic_weights(grid), out=spec[: grid.kmax + 1])
+    spec[0], spec[grid.kmax] = c[0].real, c[grid.kmax].real
+    return spec
+
+
+@lru_cache(maxsize=32)
+def _analytic_weights(grid: PeriodicGrid) -> np.ndarray:
+    """1 at k = 0, 2 for 0 < k < n/2 (bin k stands for +/-k) and 1 at Nyquist."""
+    weights = np.full(grid.kmax + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    weights.setflags(write=False)
+    return weights
 
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
@@ -118,10 +143,12 @@ def derivative(f: RealField) -> RealField:
     return _apply_multiplier(f, derivative_multiplier(f.grid))
 
 
+@lru_cache(maxsize=32)
 def derivative_multiplier(grid: PeriodicGrid) -> np.ndarray:
-    """i k on the rfft layout, with the Nyquist mode zeroed."""
+    """i k on the rfft layout, with the Nyquist mode zeroed; read-only."""
     mult = 1j * grid.wavenumbers.astype(complex)
     mult[-1] = 0.0
+    mult.setflags(write=False)
     return mult
 
 
@@ -202,21 +229,21 @@ def check_same_grid(*fields):
 
 def analytic_signal(f: RealField, dx: bool = False) -> np.ndarray:
     """F = f + iHf, or with dx its derivative F_x = f_x + iLf, computed once
-    per field and kept.  Re F and Im F are f and hilbert(f) bit for bit, and
-    Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to rounding."""
+    per field and kept.  For a field built by from_spectrum, F comes with
+    the field: Re F is its samples bit for bit and Im F is hilbert(f) to
+    rounding.  For any other field Re F and Im F are f and hilbert(f) bit for
+    bit.  Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to
+    rounding."""
     cache = f.__dict__.setdefault("_analytic", {})
     if dx not in cache:
         if dx:
-            # F_x = i|k| F, where F holds each 0 < k < n/2 twice and the
-            # Nyquist mode, which H zeroes and L keeps, once, as f does
-            n, half = f.grid.n, f.grid.kmax
-            spec = np.zeros(n, dtype=complex)
-            spec[:half] = 2.0 * f.spectrum[:half]
-            spec[half] = f.spectrum[half].real
-            k = np.arange(n)
-            F = np.fft.ifft(spec * (1j * np.minimum(k, n - k)))
+            # F_x = i|k| F on F's one-sided spectrum; the Nyquist bin, real in
+            # F, turns imaginary, as L keeps it and d/dx zeroes it
+            spec = _one_sided(f.grid, f.spectrum)
+            spec[: f.grid.kmax + 1] *= 1j * f.grid.wavenumbers
+            F = np.fft.ifft(spec)
         else:
-            # Re F is f itself, so one real transform gives the rest
+            # Re F is f itself, and hilbert(f) gives the rest
             F = f.values + 1j * hilbert(f).values
         F.setflags(write=False)
         cache[dx] = F

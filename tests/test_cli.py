@@ -319,6 +319,20 @@ class TestMain:
         assert "run aborted:" in proc.stderr and "dt=" in proc.stderr and "step 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_step_limit_exit(self, tmp_path):
+        # dt shrinks with the datum, so this one would need about 1e11 steps;
+        # in a child process, so that a missed limit fails at the timeout
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rootflow.__file__))}
+        argv = ["solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "initial.kind=constant",
+                "--set", "initial.c0=2e-10", "--set", "solver.max_steps=1000"]
+        timed = f"import sys, time; from rootflow import cli; t = time.perf_counter(); rc = cli.main({argv!r}); " \
+                "print(time.perf_counter() - t); sys.exit(rc)"
+        proc = subprocess.run([sys.executable, "-c", timed], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == cli.EXIT_CODES["max_steps"]
+        assert "run aborted: step limit 1000 reached at t=" in proc.stderr and "step 1000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert float(proc.stdout) < 1.0
+
     def test_non_finite_diagnostics_abort(self, tmp_path, capsys):
         # squares of data near 1e200 overflow in the seminorm and dissipation
         rc = self.run(

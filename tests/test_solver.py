@@ -2,12 +2,31 @@ import numpy as np
 import pytest
 
 from rootflow import solver, spectral
-from rootflow.solver import SolverAbort, SolverConfig, SolverState, Trajectory
+from rootflow.solver import SolverAbort, SolverConfig, SolverState, StepLimitAbort, Trajectory
 from rootflow.spectral import PeriodicGrid, RealField
 
 
 def cosine_datum(grid, c0=1.0, amp=0.3):
     return RealField(grid, c0 + amp * np.cos(grid.points))
+
+
+def numpy_field_quantities(values, delta):
+    """(min, max, mass, H^1/2 seminorm, dissipation) of grid values on the
+    2 pi circle with numpy alone: L is the multiplier |k|, H is -i sign(k),
+    zero at Nyquist."""
+    n = values.size
+    c = np.fft.rfft(values)
+    k = np.arange(n // 2 + 1, dtype=float)
+    weight = np.full(k.size, 2.0)
+    weight[0] = weight[-1] = 1.0
+    h12 = np.sqrt(2.0 * np.pi * np.sum(weight * k * np.abs(c / n) ** 2))
+    sign = -1j * np.sign(k)
+    sign[-1] = 0.0
+    hu = np.fft.irfft(sign * c, n=n)
+    lu = np.fft.irfft(k * c, n=n)
+    dx = 2.0 * np.pi / n
+    diss = dx * np.sum(values * lu**2 / (delta + values**2 + hu**2))
+    return np.array([values.min(), values.max(), dx * np.sum(values), h12, diss])
 
 
 class TestConfig:
@@ -28,6 +47,8 @@ class TestConfig:
             dict(t_end=np.inf),
             dict(snapshot_times=(np.nan,)),
             dict(pos_floor=np.nan),
+            dict(max_steps=0),
+            dict(max_steps=10.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -94,11 +115,14 @@ class TestSolve:
         record_times = {r.t for r in traj.records}
         assert all(t in record_times for t in expected)
 
-    @pytest.mark.parametrize("delta, per_step", [(0.0, 7), (1e-2, 8)])
+    @pytest.mark.parametrize("delta, per_step", [(0.0, 5), (1e-2, 6)])
     def test_transform_and_validation_counts(self, monkeypatch, delta, per_step):
-        # set-up: rfft and irfft of the mollified datum, F and F_x for its
-        # record; a step then transforms only what it must (the tendency
-        # spectra stay spectra) and validates no field it computed itself
+        # set-up: rfft of the datum, one complex ifft that gives the
+        # mollified datum with its F, and one transform for its record (Lu
+        # at delta = 0, F_x, which the first tendency reuses, at delta > 0).
+        # A step then transforms only what it must: one rfft per tendency,
+        # one ifft per field it makes, F_x of the predictor at delta > 0 and
+        # the record's one transform.  It validates no field it computed itself
         grid = PeriodicGrid(64)
         u0 = cosine_datum(grid)
         calls = {"fft": 0, "validate": 0}
@@ -116,7 +140,30 @@ class TestSolve:
         cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,))
         steps = len(solver.solve(u0, cfg).records) - 1
         assert steps >= 2
-        assert calls == {"fft": 4 + per_step * steps, "validate": 0}
+        assert calls == {"fft": 3 + per_step * steps, "validate": 0}
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_records_match_snapshot_fields(self, delta):
+        # the record reads F, F_x or Lu the step left behind; at each snapshot
+        # it must agree with the same quantities worked out from the samples
+        grid = PeriodicGrid(256)
+        cfg = SolverConfig(delta=delta, t_end=0.5, cfl=0.4, snapshot_times=(0.125, 0.25))
+        traj = solver.solve(solver.rough_initial_data(grid, seed=1), cfg)
+        by_time = {r.t: r for r in traj.records}
+        for t, u in traj.snapshots:
+            r = by_time[t]
+            got = [r.min_u, r.max_u, r.mass, r.h12, r.dissipation]
+            np.testing.assert_allclose(got, numpy_field_quantities(u.values, delta), rtol=1e-12, atol=0.0)
+
+    def test_step_limit(self):
+        grid = PeriodicGrid(64)
+        u0 = cosine_datum(grid)
+        steps = len(solver.solve(u0, SolverConfig(t_end=0.1)).records) - 1
+        assert len(solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps)).records) == steps + 1
+        with pytest.raises(StepLimitAbort, match=f"step limit {steps - 1} reached at t=.*, step {steps - 1}"):
+            solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps - 1))
+        with pytest.raises(StepLimitAbort, match="continuation member delta=0.01 failed: step limit 1 "):
+            solver.delta_continuation(u0, [1e-2, 5e-3], 0.1, SolverConfig(max_steps=1))
 
     def test_mollified_initial(self):
         grid = PeriodicGrid(64)

@@ -166,6 +166,23 @@ class TestAnalyticSignal:
         for got, want in pairs:
             assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
 
+    @given(n=st.sampled_from([16, 64, 256]), seed=st.integers(0, 2**16), log_scale=st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_from_spectrum_fuses_samples_and_signal(self, n, seed, log_scale):
+        # one complex ifft gives the samples, which match irfft, and F; bins 0
+        # and n/2 carry imaginary parts that irfft drops, and so must F
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(seed)
+        c = (rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)) * n * 10.0**log_scale
+        assert c[0].imag != 0.0 and c[-1].imag != 0.0
+        f = spectral.from_spectrum(grid, c)
+        scale = np.abs(f.values).max()
+        assert np.abs(f.values - np.fft.irfft(c, n)).max() <= 1e-15 * scale
+        F = spectral.analytic_signal(f)
+        assert np.array_equal(F.real, f.values)
+        hf = spectral.hilbert(RealField(grid, f.values)).values
+        assert np.abs(F.imag - hf).max() <= 1e-13 * scale
+
     def test_computed_once_per_field(self, grid, rng):
         f = band_limited_field(grid, rng)
         for dx in (False, True):
