@@ -404,14 +404,14 @@ def cmd_stability(cfg, out):
     snaps = tuple(np.linspace(0.0, t_end, 11)[1:])
     scfg = solver_config(cfg, snapshot_times=snaps)
     u0 = build_initial(cfg)
-    base = solver.solve(u0, scfg)
+    base = solver.solve(u0, scfg, records=False)
     summary = Summary()
     growths = []
     for gap in st["gaps"]:
         pert = RealField(u0.grid, u0.values + gap * np.cos(u0.grid.points))
         if pert.min() <= 0:
             raise ConfigError(f"stability gap {gap:g} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
-        traj = solver.solve(pert, scfg)
+        traj = solver.solve(pert, scfg, records=False)
         rep = diagnostics.stability_compare(base, traj)
         growths.append(rep.growth)
         summary.note(f"growth_gap_{gap:g}", rep.growth)
@@ -440,7 +440,7 @@ def cmd_roots_compare(cfg, out):
             f"initial.bump_halfwidth = {ini['bump_halfwidth']:g}, roots.margin = {rt['margin']:g}): {exc}"
         ) from exc
     scfg = solver_config(cfg, t_end=rt["t"], pos_floor=ini["bump_floor"] / 2)
-    traj = solver.solve(u0, scfg)
+    traj = solver.solve(u0, scfg, records=False)
     u_final = traj.snapshots[-1][1]
     write_snapshot_csv(traj, os.path.join(out, "snapshots.csv"))
     summary = Summary()

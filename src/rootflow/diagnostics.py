@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import dynamics, spectral
 from .spectral import RealField
 
 ENERGY_BOUND = 10.0
@@ -54,20 +54,21 @@ def mass(u: RealField) -> float:
 
 
 def dissipation(u: RealField, delta: float) -> float:
-    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx, for u > 0 or delta > 0.
+    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx = pi int gamma (Lu)^2 dx,
+    for u > 0 or delta > 0, with gamma from dynamics.coefficients.
 
     F = u + iHu comes with every field the solver makes.  At delta > 0 Lu is
     read off F_x = u_x + iLu, which the next step's tendency needs and finds
     kept; at delta = 0 no tendency needs F_x and one irfft of |k| c gives Lu.
-    So a solver step and its record make 5 transforms at delta = 0 and 6 at
-    delta > 0."""
-    F = spectral.analytic_signal(u)
+    So the record of a step adds one transform at delta = 0 and none at
+    delta > 0: with its record a step makes 5 transforms at delta = 0 and 6
+    at delta > 0."""
     if delta > 0:
         lu = spectral.analytic_signal(u, dx=True).imag
     else:
         lu = np.fft.irfft(u.spectrum * u.grid.wavenumbers, n=u.grid.n)
-    integrand = F.real * lu**2 / (delta + F.real**2 + F.imag**2)
-    return float(u.grid.dx * np.sum(integrand))
+    gamma = dynamics.coefficients(u, delta).gamma
+    return float(np.pi * u.grid.dx * np.sum(gamma * lu**2))
 
 
 def energy_budget(traj, delta: float) -> EnergyBudget:

@@ -89,26 +89,32 @@ class RealField:
 
 def from_spectrum(grid: PeriodicGrid, c: np.ndarray) -> RealField:
     """The field whose rfft is c, which it keeps, read-only, as its spectrum.
-    One complex ifft of the one-sided spectrum gives F = f + iHf, kept for
-    analytic_signal, and the samples Re F; bins 0 and n/2 lose their
-    imaginary parts, as in irfft.  It is the one inverse transform of each
-    field a solver step makes (5 transforms a step at delta = 0, 6 at
-    delta > 0).  The samples come fresh, so RealField's copy and finiteness
-    check are skipped: a caller whose c may be non-finite checks the samples."""
+    One complex ifft of the one-sided spectrum, zero-padded to length n,
+    gives F = f + iHf, kept for analytic_signal, and the samples Re F; bins 0
+    and n/2 lose their imaginary parts, as in irfft.  It is the one inverse
+    transform of each field a solver step makes: a step makes 4 transforms
+    at delta = 0 and 6 at delta > 0, and its record adds one at delta = 0.
+    The samples come fresh, so RealField's copy and finiteness check are
+    skipped: a caller whose c may be non-finite checks the samples."""
+    F = np.fft.ifft(_one_sided(grid, c), n=grid.n)
+    return _fresh_field(grid, F.real.copy(), c, {False: F})
+
+
+def _fresh_field(grid: PeriodicGrid, values: np.ndarray, c: np.ndarray, analytic: dict) -> RealField:
+    """A RealField of samples just computed from c, keeping c and any
+    analytic signals, all read-only, without RealField's copy and check."""
     f = object.__new__(RealField)
-    F = np.fft.ifft(_one_sided(grid, c))
-    values = F.real.copy()
-    for a in (F, values, c):
+    for a in (values, c, *analytic.values()):
         a.setflags(write=False)
-    f.__dict__.update(grid=grid, values=values, spectrum=c, _analytic={False: F})
+    f.__dict__.update(grid=grid, values=values, spectrum=c, _analytic=analytic)
     return f
 
 
 def _one_sided(grid: PeriodicGrid, c: np.ndarray) -> np.ndarray:
-    """Length-n spectrum of F = f + iHf from the rfft layout c: c_0, 2 c_k for
-    0 < k < n/2 and c_{n/2}, the last with only its real part, like c_0."""
-    spec = np.zeros(grid.n, dtype=complex)
-    np.multiply(c, _analytic_weights(grid), out=spec[: grid.kmax + 1])
+    """Spectrum of F = f + iHf for k = 0..n/2 from the rfft layout c: c_0,
+    2 c_k for 0 < k < n/2 and c_{n/2}, the last with only its real part, like
+    c_0.  The bins above n/2 are zero; ifft(..., n=grid.n) pads them."""
+    spec = c * _analytic_weights(grid)
     spec[0], spec[grid.kmax] = c[0].real, c[grid.kmax].real
     return spec
 
@@ -123,7 +129,10 @@ def _analytic_weights(grid: PeriodicGrid) -> np.ndarray:
 
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
-    return from_spectrum(f.grid, f.spectrum * mult)
+    """The field whose spectrum is f.spectrum * mult, by one irfft; it builds
+    no F, which analytic_signal makes only if a caller asks."""
+    c = f.spectrum * mult
+    return _fresh_field(f.grid, np.fft.irfft(c, n=f.grid.n), c, {})
 
 
 def hilbert(f: RealField) -> RealField:
@@ -161,7 +170,8 @@ def heat_propagate(f: RealField, tau: float) -> RealField:
     """Apply the heat semigroup exp(tau d^2/dx^2), tau >= 0."""
     if tau < 0:
         raise ValueError(f"heat propagation time must be >= 0, got {tau}")
-    return _apply_multiplier(f, heat_multiplier(f.grid, tau))
+    # by from_spectrum, as the solver reads the mollified datum's F
+    return from_spectrum(f.grid, f.spectrum * heat_multiplier(f.grid, tau))
 
 
 def heat_multiplier(grid: PeriodicGrid, tau: float) -> np.ndarray:
@@ -201,10 +211,12 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
     applied to f; the mean never contributes.  Negative s is only
     meaningful on mean-zero fields.
     """
-    c = f.spectrum / f.grid.n
-    if s < 0 and abs(c[0]) > 1e-13 * (1.0 + np.abs(c).max()):
+    grid = f.grid
+    c = f.spectrum
+    if s < 0 and abs(c[0]) > 1e-13 * (grid.n + np.abs(c).max()):
         raise ValueError("negative-order seminorm requires a mean-zero field")
-    total = np.sum(_seminorm_weights(f.grid, s) * np.abs(c[1:]) ** 2)
+    # no BLAS dot: its first call alone raises the peak RSS by about 0.3 MB
+    total = np.sum(_seminorm_weights(grid, s) * (c.real[1:] ** 2 + c.imag[1:] ** 2)) / grid.n**2
     return float(np.sqrt(2.0 * np.pi * total))
 
 
@@ -240,8 +252,8 @@ def analytic_signal(f: RealField, dx: bool = False) -> np.ndarray:
             # F_x = i|k| F on F's one-sided spectrum; the Nyquist bin, real in
             # F, turns imaginary, as L keeps it and d/dx zeroes it
             spec = _one_sided(f.grid, f.spectrum)
-            spec[: f.grid.kmax + 1] *= 1j * f.grid.wavenumbers
-            F = np.fft.ifft(spec)
+            spec *= 1j * f.grid.wavenumbers
+            F = np.fft.ifft(spec, n=f.grid.n)
         else:
             # Re F is f itself, and hilbert(f) gives the rest
             F = f.values + 1j * hilbert(f).values

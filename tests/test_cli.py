@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -333,6 +334,25 @@ class TestMain:
         assert "Traceback" not in proc.stderr
         assert float(proc.stdout) < 1.0
 
+    @pytest.mark.parametrize(
+        "command, sets",
+        [
+            pytest.param("roots-compare", ["grid.n=256", "roots.counts=40,80"], id="roots-compare"),
+            pytest.param("stability", ["grid.n=64", "solver.t_end=0.1"], id="stability"),
+        ],
+    )
+    def test_snapshot_commands_build_no_records(self, tmp_path, capsys, monkeypatch, command, sets):
+        # these commands read only snapshots, so no per-step record is built
+        def no_record(*args):
+            raise AssertionError(f"{command} built a per-step record")
+
+        monkeypatch.setattr(solver, "_record", no_record)
+        rc = self.run(command, "--out", str(tmp_path), *(arg for kv in sets for arg in ("--set", kv)))
+        assert rc == 0
+        with open(tmp_path / "summary.csv", newline="") as f:
+            statuses = [row["status"] for row in csv.DictReader(f) if row["status"]]
+        assert statuses and set(statuses) == {"PASS"}
+
     def test_non_finite_diagnostics_abort(self, tmp_path, capsys):
         # squares of data near 1e200 overflow in the seminorm and dissipation
         rc = self.run(
@@ -343,6 +363,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert "run aborted:" in err and "h12" in err and "step 0" in err
         assert not (tmp_path / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [("stability", "initial.amplitude=3e199"), ("solve", "initial.kind=constant")],
+    )
+    def test_overflowing_scale_abort(self, tmp_path, capsys, command, override):
+        # u^2 + (Hu)^2 of data near 1e200 overflows and leaves no dt bound; a
+        # run that builds no records, or whose records stay finite, must
+        # still abort, with no warning
+        rc = self.run(
+            command, "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", "initial.c0=1e200", "--set", override,
+        )
+        assert rc == cli.EXIT_CODES["abort"]
+        err = capsys.readouterr().err
+        assert "run aborted: u^2 + (Hu)^2 overflows at t=0, step 0" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["constant", "cosine", "rough"])
     def test_non_finite_mollified_datum_abort(self, tmp_path, capsys, kind):

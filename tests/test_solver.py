@@ -115,17 +115,26 @@ class TestSolve:
         record_times = {r.t for r in traj.records}
         assert all(t in record_times for t in expected)
 
-    @pytest.mark.parametrize("delta, per_step", [(0.0, 5), (1e-2, 6)])
-    def test_transform_and_validation_counts(self, monkeypatch, delta, per_step):
+    @pytest.mark.parametrize(
+        "records, delta, set_up, per_step",
+        [
+            pytest.param(True, 0.0, 3, 5, id="0.0-5"),
+            pytest.param(True, 1e-2, 3, 6, id="0.01-6"),
+            pytest.param(False, 0.0, 2, 4, id="0.0-4-no-records"),
+            pytest.param(False, 1e-2, 2, 6, id="0.01-6-no-records"),
+        ],
+    )
+    def test_transform_and_validation_counts(self, monkeypatch, records, delta, set_up, per_step):
         # set-up: rfft of the datum, one complex ifft that gives the
-        # mollified datum with its F, and one transform for its record (Lu
-        # at delta = 0, F_x, which the first tendency reuses, at delta > 0).
-        # A step then transforms only what it must: one rfft per tendency,
-        # one ifft per field it makes, F_x of the predictor at delta > 0 and
-        # the record's one transform.  It validates no field it computed itself
+        # mollified datum with its F, and with records one transform for its
+        # record (Lu at delta = 0, F_x, which the first tendency reuses, at
+        # delta > 0).  A step then transforms only what it must: one rfft per
+        # tendency, one ifft per field it makes, F_x of both stages at
+        # delta > 0 and, with records at delta = 0, the record's irfft of Lu.
+        # It validates no field it computed itself
         grid = PeriodicGrid(64)
         u0 = cosine_datum(grid)
-        calls = {"fft": 0, "validate": 0}
+        calls = {"fft": 0, "validate": 0, "step": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -137,10 +146,31 @@ class TestSolve:
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
         monkeypatch.setattr(RealField, "__post_init__", counted(RealField.__post_init__, "validate"))
+        monkeypatch.setattr(solver, "step", counted(solver.step, "step"))
         cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,))
-        steps = len(solver.solve(u0, cfg).records) - 1
-        assert steps >= 2
-        assert calls == {"fft": 3 + per_step * steps, "validate": 0}
+        traj = solver.solve(u0, cfg, records=records)
+        steps = calls["step"]
+        assert steps >= 2 and len(traj.records) == (steps + 1 if records else 0)
+        assert calls == {"fft": set_up + per_step * steps, "validate": 0, "step": steps}
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_records_flag_changes_no_step(self, monkeypatch, delta):
+        # records are read off the fields the steps made and feed nothing
+        # back: without them the run takes the same steps to the same bits
+        grid = PeriodicGrid(64)
+        cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.03, 0.05))
+        steps = []
+        real_step = solver.step
+        monkeypatch.setattr(solver, "step", lambda *a: steps.append(a[1]) or real_step(*a))
+        with_records = solver.solve(cosine_datum(grid), cfg)
+        dts = steps[:]
+        steps.clear()
+        without = solver.solve(cosine_datum(grid), cfg, records=False)
+        assert without.records == [] and len(with_records.records) == len(dts) + 1
+        assert steps == dts
+        assert without.times == with_records.times
+        for (_, a), (_, b) in zip(with_records.snapshots, without.snapshots):
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("delta", [0.0, 1e-3])
     def test_records_match_snapshot_fields(self, delta):
@@ -159,11 +189,20 @@ class TestSolve:
         grid = PeriodicGrid(64)
         u0 = cosine_datum(grid)
         steps = len(solver.solve(u0, SolverConfig(t_end=0.1)).records) - 1
-        assert len(solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps)).records) == steps + 1
-        with pytest.raises(StepLimitAbort, match=f"step limit {steps - 1} reached at t=.*, step {steps - 1}"):
-            solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps - 1))
+        for records in (True, False):  # the limit counts steps, not records
+            traj = solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps), records=records)
+            assert traj.times == [0.0, 0.1] and len(traj.records) == (steps + 1 if records else 0)
+            with pytest.raises(StepLimitAbort, match=f"step limit {steps - 1} reached at t=.*, step {steps - 1}"):
+                solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps - 1), records=records)
         with pytest.raises(StepLimitAbort, match="continuation member delta=0.01 failed: step limit 1 "):
             solver.delta_continuation(u0, [1e-2, 5e-3], 0.1, SolverConfig(max_steps=1))
+
+    @pytest.mark.parametrize("records", [True, False])
+    def test_overflowing_scale_aborts(self, records):
+        # the equation is scale-free, but gamma and V need delta + |F|^2 finite
+        u0 = RealField(PeriodicGrid(64), np.full(64, 1e200))
+        with pytest.raises(SolverAbort, match=r"u\^2 \+ \(Hu\)\^2 overflows at t=0, step 0"):
+            solver.solve(u0, SolverConfig(t_end=0.1), records=records)
 
     def test_mollified_initial(self):
         grid = PeriodicGrid(64)

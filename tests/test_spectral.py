@@ -67,6 +67,19 @@ class TestMultipliers:
         hh = spectral.hilbert(spectral.hilbert(f))
         assert np.abs(hh.values + (f.values - f.mean())).max() < 1e-12
 
+    @pytest.mark.parametrize("op", [spectral.hilbert, spectral.derivative, spectral.frac_laplacian])
+    def test_one_irfft_per_operator(self, grid, rng, monkeypatch, op):
+        # a multiplier needs only the samples of its result: one irfft, no
+        # complex ifft for an F nobody reads
+        f = band_limited_field(grid, rng)
+        f.spectrum
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+        op(f)
+        assert calls == ["irfft"]
+
     def test_derivative_closed_form(self, grid):
         x = grid.points
         f = RealField(grid, np.sin(2 * x))
