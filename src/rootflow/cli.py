@@ -413,6 +413,10 @@ def cmd_stability(cfg, out):
             raise ConfigError(f"stability gap {gap:g} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
         traj = solver.solve(pert, scfg, records=False)
         rep = diagnostics.stability_compare(base, traj)
+        if rep.distances[0] == 0.0:  # no growth to measure, and none to divide by
+            raise ConfigError(
+                f"stability gap {gap:g} is lost in rounding: the perturbed datum equals u0 (max u0 = {u0.max():.3e})"
+            )
         growths.append(rep.growth)
         summary.note(f"growth_gap_{gap:g}", rep.growth)
         summary.check("stability", f"growth_below_bound_gap_{gap:g}", rep.growth, st["g_max"], rep.growth < st["g_max"])
@@ -439,8 +443,18 @@ def cmd_roots_compare(cfg, out):
             f"cannot sample roots from the bump (initial.bump_floor = {ini['bump_floor']:g}, "
             f"initial.bump_halfwidth = {ini['bump_halfwidth']:g}, roots.margin = {rt['margin']:g}): {exc}"
         ) from exc
+    support = np.count_nonzero(np.abs(roots.seam_centred(u0.grid.points)) <= ini["bump_halfwidth"])
+    if support < 2:  # the densities are compared on the grid points of the initial support
+        raise ConfigError(
+            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g} holds {support} grid point(s) at grid.n = "
+            f"{u0.grid.n}, too few to compare densities on"
+        )
     scfg = solver_config(cfg, t_end=rt["t"], pos_floor=ini["bump_floor"] / 2)
-    traj = solver.solve(u0, scfg, records=False)
+    # delta = 0 has an exact solution by characteristics; viscosity breaks it
+    if scfg.delta == 0.0:
+        traj = solver.characteristic_snapshots(u0, scfg)
+    else:
+        traj = solver.solve(u0, scfg, records=False)
     u_final = traj.snapshots[-1][1]
     write_snapshot_csv(traj, os.path.join(out, "snapshots.csv"))
     summary = Summary()

@@ -9,9 +9,9 @@ root is the zero in (0, 1) of the smooth function
 h(y) = y(1-y) gap_j g(x) = 1 - 2y + y(1-y) gap_j A(x), where A leaves out the
 two bracketing poles; it is found by Newton's method on h, safeguarded by
 bisection.  A flow starts each pass from the fractions y the previous pass
-found, averaged over neighbouring gaps, and a row stops after a Newton step
-whose square is below the tolerance rather than spend one more Cauchy sum to
-confirm it.
+found, averaged over neighbouring gaps, and a row stops after a Newton step,
+other than its first, whose square is below the tolerance rather than spend
+one more Cauchy sum to confirm it.
 """
 
 from dataclasses import dataclass
@@ -114,11 +114,13 @@ def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
     where A sums 1/(x - r_i) over every root but r_j and r_{j+1}, so
     h(0) = 1 and h(1) = -1.  Row j starts at y = start[j], strictly inside
     (0, 1) (y = 1/2 when start is None), and keeps a bracket [lo, hi] on the
-    sign change of h.  A Newton step that is not finite, leaves the bracket
-    or lands on its far end is replaced by the bracket midpoint.  A row stops
-    after a Newton step below sqrt(NEWTON_YTOL), since Newton converges
-    quadratically and leaves an error about the step squared, or after any
-    step below NEWTON_YTOL or below two float steps of x across the gap.
+    sign change of h.  A Newton step that is not finite, leaves the bracket,
+    lands on its far end or does not halve the row's previous step is
+    replaced by the bracket midpoint.  A row stops after a Newton step below
+    sqrt(NEWTON_YTOL), since Newton converges quadratically and leaves an
+    error about the step squared, but never on its first evaluation, where a
+    short step may come from a steep h far from the root; or after any step
+    below NEWTON_YTOL or below two float steps of x across the gap.
     Rows go in blocks of BLOCK_ROWS, so memory is O(BLOCK_ROWS * n).
     """
     r = e.roots
@@ -133,11 +135,12 @@ def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
     if y.shape != gaps.shape or not np.all((y > 0.0) & (y < 1.0)):  # False for nan
         raise ValueError(f"start needs {gaps.size} fractions strictly inside (0, 1)")
     lo, hi = np.zeros(gaps.size), np.ones(gaps.size)
+    prev = np.full(gaps.size, np.inf)  # each row's last step in y
     ytol = np.maximum(NEWTON_YTOL, 2.0 * np.spacing(np.maximum(np.abs(r[:-1]), np.abs(r[1:]))) / gaps)
     work = np.empty((min(BLOCK_ROWS, gaps.size), r.size))
     for first in range(0, gaps.size, BLOCK_ROWS):
         rows = np.arange(first, min(first + BLOCK_ROWS, gaps.size))
-        for _ in range(NEWTON_MAX_ITER):
+        for it in range(NEWTON_MAX_ITER):
             w, m, yr, g = work[: rows.size], np.arange(rows.size), y[rows], gaps[rows]
             with np.errstate(divide="ignore", over="ignore"):  # x may round onto or beside r_j or r_{j+1}, dropped below
                 np.reciprocal(np.subtract((r[rows] + yr * g)[:, None], r, out=w), out=w)
@@ -150,11 +153,16 @@ def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
             lo[rows], hi[rows] = np.where(h > 0.0, yr, lo[rows]), np.where(h > 0.0, hi[rows], yr)
             # h == 0 moves hi onto y, so a zero step counts as inside; a step
             # onto the far end bisects, which breaks a cycle between two
-            # floats of x that straddle the root
+            # floats of x that straddle the root, and so does a step that
+            # does not halve the last one, as Newton far from the root may
+            # creep where h is steep
             newton = ((cand > lo[rows]) & (cand < hi[rows])) | (cand == yr)  # False for nan
+            newton &= np.abs(cand - yr) <= 0.5 * prev[rows]
             y[rows] = np.where(newton, cand, 0.5 * (lo[rows] + hi[rows]))
-            step = np.abs(y[rows] - yr)
-            rows = rows[(step >= ytol[rows]) & ~(newton & (step < NEWTON_YTOL**0.5))]
+            step = prev[rows] = np.abs(y[rows] - yr)
+            # no quadratic stop on a first step, which is short where h is
+            # steep, not only near the root
+            rows = rows[(step >= ytol[rows]) & ~(newton & (step < NEWTON_YTOL**0.5) & (it > 0))]
             if rows.size == 0:
                 break
         else:

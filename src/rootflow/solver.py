@@ -155,6 +155,29 @@ def _append_record(traj: Trajectory, state: SolverState, delta: float, steps: in
     traj.records.append(r)
 
 
+def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) -> RealField:
+    """The set-up checks of a run: mollify u0, check it against the floor,
+    put it into traj as the t = 0 snapshot (and record, with records) and
+    abort where u^2 + (Hu)^2 overflows; returns the mollified datum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
+        u = mollified_initial(u0, cfg.delta)
+    u = _admissible(u, cfg, 0.0, "mollified initial data")
+    traj.snapshots.append((0.0, u))
+    if records:
+        _append_record(traj, SolverState(t=0.0, u=u), cfg.delta, 0)
+    # delta + |F|^2 must be finite, or gamma and V read 0 and bound no step;
+    # the record of non-constant data overflows first and names its fields
+    f_max = float(np.abs(spectral.analytic_signal(u)).max())
+    if not math.isfinite(cfg.delta + f_max * f_max):
+        raise SolverAbort(f"u^2 + (Hu)^2 overflows at t=0, step 0: max |u + iHu| = {f_max:.3e} leaves no dt bound")
+    return u
+
+
+def _stops(cfg: SolverConfig) -> list:
+    """The snapshot times after t = 0: every distinct snapshot time and t_end."""
+    return sorted({*cfg.snapshot_times, cfg.t_end} - {0.0})
+
+
 def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajectory:
     """Integrate from the mollified initial data to t_end.
 
@@ -168,21 +191,10 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     datum's ifft at set-up, then 4 a step at delta = 0 and 6 at delta > 0;
     records add one at set-up and, at delta = 0, one a step.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
-        u = mollified_initial(u0, cfg.delta)
-    u = _admissible(u, cfg, 0.0, "mollified initial data")
-    state = SolverState(t=0.0, u=u)
     traj = Trajectory()
-    traj.snapshots.append((0.0, u))
+    state = SolverState(t=0.0, u=_start(u0, cfg, traj, records))
     steps = 0
-    if records:
-        _append_record(traj, state, cfg.delta, steps)
-    # delta + |F|^2 must be finite, or gamma and V read 0 and bound no step;
-    # the record of non-constant data overflows first and names its fields
-    f_max = float(np.abs(spectral.analytic_signal(u)).max())
-    if not math.isfinite(cfg.delta + f_max * f_max):
-        raise SolverAbort(f"u^2 + (Hu)^2 overflows at t=0, step 0: max |u + iHu| = {f_max:.3e} leaves no dt bound")
-    for stop in sorted({*cfg.snapshot_times, cfg.t_end} - {0.0}):
+    for stop in _stops(cfg):
         while state.t < stop:
             if steps >= cfg.max_steps:
                 raise StepLimitAbort(
@@ -202,6 +214,196 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
                 _append_record(traj, state, cfg.delta, steps)
         traj.snapshots.append((stop, state.u))
     return traj
+
+
+MAP_TOL = 4e-15  # a foot stops once its Newton step |dz| falls below this; 1e-15 stalls at about 1.5e-15
+MAP_STALL = 1e-10  # a Newton step in log z that follows one below this and is no shorter meets rounding
+MAP_NEWTON_ITER = 8  # Newton steps one continuation step may take before it counts as failed
+MAP_MAX_EVALS = 1000  # F0 evaluations one target may spend over the whole continuation
+MAP_FAILURES = (
+    "a Newton step left the unit disc",
+    "a Newton step did not shrink",
+    f"Newton took more than {MAP_NEWTON_ITER} steps",
+)
+MAP_TARGETS = 512  # targets per continuation block; a block of 1024 lifted the peak RSS of a run by about 0.2 MB
+MAP_BLOCK = 128  # targets per evaluation block: work arrays are MAP_BLOCK x 2 MAP_POWERS
+MAP_POWERS = 32  # F0 is sum_b z^(32 b) sum_m a_(32 b + m) z^m; a power of two
+
+
+def characteristic_snapshots(u0: RealField, cfg: SolverConfig) -> Trajectory:
+    """solve's snapshots at delta = 0, mapped exactly by complex characteristics.
+
+    F = u + iHu extends into the unit disc as F0(z) = sum a_k z^k, and at
+    delta = 0 the equation is F_t + z F_z / (pi F) = 0.  F is constant along
+    dz/dt = z / (pi F), so
+
+        u(t, x) = Re F0(z0),   where   z0 exp(t / (pi F0(z0))) = e^(ix),
+
+    with the foot z0 inside the disc for t > 0 while Re F0 > 0 there, that is
+    while the trigonometric interpolant of the datum is positive; otherwise a
+    foot is lost and the run aborts.  No step is taken: each snapshot is the
+    exact solution of the band-limited datum sampled on the grid, its grid
+    mean set to the conserved F0(0), from which the samples differ by
+    aliasing alone (up to 1.1e-11 for roots-compare's bump at n = 1024 and
+    t = 0.3, 1.8e-6 at n = 256).  The set-up checks are solve's, every
+    snapshot must be admissible, and records stay empty.
+    """
+    if cfg.delta != 0.0:
+        raise ValueError(f"the characteristic map solves delta = 0 only, got delta = {cfg.delta:g}")
+    traj = Trajectory()
+    u = _start(u0, cfg, traj, records=False)
+    times = _stops(cfg)
+    if not times:
+        return traj
+    grid = u.grid
+    a = spectral._one_sided(grid, u.spectrum) / grid.n
+    feet = characteristic_feet(a, grid.points, times, spectral.analytic_signal(u))
+    blocks = _taylor_blocks(a)
+    for t, z0 in zip(times, feet):
+        values = _taylor(blocks, z0)[0].real
+        values += a[0].real - values.mean()
+        traj.snapshots.append((t, _admissible(RealField(grid, values), cfg, t, "characteristic solution")))
+    return traj
+
+
+def characteristic_feet(a: np.ndarray, x: np.ndarray, times, F: np.ndarray) -> np.ndarray:
+    """Feet z0 with z0 exp(t / (pi F0(z0))) = e^(ix) for each time in times
+    (increasing, positive) and each target x; F0 has the Taylor coefficients
+    a and F is F0(e^(ix)).  Returns an array of shape (len(times), len(x)).
+
+    Each target follows its foot from z0 = e^(ix) at s = 0 by its own
+    continuation in s, landing on every time; its first step tries the whole
+    way.  A step starts from the tangent predictor, or, where that leaves the
+    disc, from the fixed-point guess e^(ix) exp(-s / (pi F0)) with F0 at the
+    last foot, and runs Newton in log z on Phi = log(z / e^(ix)) +
+    s / (pi F0(z)), whose derivative is 1 - s z F0'(z) / (pi F0^2); log z is
+    tracked continuously, so no branch cut is crossed.  A Newton step is
+    taken only if it stays inside the disc and is shorter than the one
+    before.  The continuation step succeeds once a Newton step |dz| is below
+    MAP_TOL, or no shorter than one below MAP_STALL, and the next is 1.5 times
+    longer; it fails on any other Newton step that is not taken or after
+    MAP_NEWTON_ITER of them, and is retried at a quarter of its length.
+    Targets go MAP_TARGETS at a time, and F0 and z F0' are evaluated
+    MAP_BLOCK targets at a time.
+    """
+    times = np.asarray(times, dtype=float)
+    blocks = _taylor_blocks(a)
+    feet = np.empty((times.size, x.size), dtype=complex)
+    for first in range(0, x.size, MAP_TARGETS):
+        part = slice(first, first + MAP_TARGETS)
+        feet[:, part] = _feet(blocks, x[part], times, F[part])
+    return feet
+
+
+def _feet(blocks, x, times, F):
+    """characteristic_feet of up to MAP_TARGETS targets, F0 given by _taylor_blocks."""
+    ix = 1j * x
+    zeta0 = ix.copy()  # log of the last foot found, at s0
+    s0 = np.zeros(x.size)
+    f0 = F.astype(complex)  # F0 at the last foot
+    slope = -1.0 / (np.pi * f0)  # d log z0 / ds there
+    stop = np.zeros(x.size, dtype=int)  # index of the next time to land on
+    h = np.full(x.size, times[-1])  # the next step's length, before landing
+    s1 = np.full(x.size, times[0])  # the s the current step solves at
+    zeta = zeta0 + s1 * slope
+    prev = np.full(x.size, np.inf)  # length of the last Newton step
+    iters = np.zeros(x.size)  # Newton steps in the current continuation step
+    cause = np.zeros(x.size, dtype=int)  # why the last failed step failed, an index into MAP_FAILURES
+    feet = np.empty((times.size, x.size), dtype=complex)
+    rows = np.arange(x.size)
+
+    def lost(j, why):
+        return SolverAbort(
+            f"characteristic foot of x={x[j]:.6g} lost at t={s0[j]:.6g}, short of stop {times[stop[j]]:.6g}: "
+            f"{why}, and its last step failed as {MAP_FAILURES[cause[j]]}"
+        )
+
+    # a step that divides by zero or overflows is not finite, and is not
+    # taken; the loop tests floats only (iters too), as a first integer
+    # comparison or complex isfinite maps 64-128 KB more of numpy's code
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(MAP_MAX_EVALS):
+            z = np.exp(zeta[rows])
+            f, zf = _taylor(blocks, z)
+            s = s1[rows]
+            dphi = 1.0 - s * zf / (np.pi * f * f)
+            d = -(zeta[rows] - ix[rows] + s / (np.pi * f)) / dphi
+            new = zeta[rows] + d
+            step = np.abs(d)
+            inside = np.isfinite(step) & (new.real < 0.0)
+            shorter = step < prev[rows]
+            # a step that no longer shrinks after one below MAP_STALL has met
+            # the rounding floor, which ill conditioning lifts above MAP_TOL
+            done = inside & (shorter & (np.abs(z) * step < MAP_TOL) | ~shorter & (prev[rows] < MAP_STALL))
+            newton = inside & shorter & ~done & (iters[rows] < MAP_NEWTON_ITER)
+            i = rows[newton]
+            zeta[i], prev[i], iters[i] = new[newton], step[newton], iters[i] + 1
+            # a converged step moves its target on, landing on a time or not
+            i = rows[done]
+            zeta0[i], s0[i], f0[i] = new[done], s[done], f[done]
+            slope[i] = -1.0 / (np.pi * f[done] * dphi[done])
+            h[i] *= 1.5
+            i = i[s[done] == times[stop[i]]]
+            feet[stop[i], i] = np.exp(zeta0[i])
+            stop[i] += 1
+            # a failed step is retried at a quarter of its length
+            failed = ~done & ~newton
+            i = rows[failed]
+            h[i] = 0.25 * (s1[i] - s0[i])
+            cause[i] = np.where(inside, np.where(shorter, 2, 1), 0)[failed]
+            more = s0[rows] < times[-1]
+            i = rows[more & ~newton]
+            rows = rows[more]
+            if rows.size == 0:
+                return feet
+            s1[i] = np.minimum(s0[i] + h[i], times[stop[i]])
+            if (stuck := i[s1[i] <= s0[i]]).size:
+                raise lost(stuck[0], "its continuation step fell below one float step of t")
+            guess = zeta0[i] + (s1[i] - s0[i]) * slope[i]
+            out = ~(np.isfinite(np.abs(guess)) & (guess.real < 0.0))
+            guess[out] = ix[i[out]] - s1[i[out]] / (np.pi * f0[i[out]])
+            zeta[i], prev[i], iters[i] = guess, np.inf, 0
+    raise lost(rows[0], f"it spent {MAP_MAX_EVALS} evaluations of F0")
+
+
+def _taylor_blocks(a: np.ndarray) -> np.ndarray:
+    """The coefficients of F0 (a_k) and of z F0' (k a_k) as one real matrix.
+    With k = MAP_POWERS b + m, the coefficient c of power m in block b of
+    function q (0 for F0, 1 for z F0') fills rows 2m, 2m + 1 and columns
+    2j, 2j + 1, j = qB + b, as [[Re c, Im c], [-Im c, Re c]]: the real
+    product of (Re z^m, Im z^m) pairs with it gives (Re, Im) pairs of the
+    partial sums sum_m c z^m."""
+    nb = -(-a.size // MAP_POWERS)
+    coef = np.zeros((2, nb * MAP_POWERS), dtype=complex)
+    coef[0, : a.size], coef[1, : a.size] = a, np.arange(a.size) * a
+    c = coef.reshape(2 * nb, MAP_POWERS).T  # [m, q nb + b]
+    e = np.empty((MAP_POWERS, 2, 2 * nb, 2))
+    e[:, 0, :, 0], e[:, 0, :, 1] = c.real, c.imag
+    e[:, 1, :, 0], e[:, 1, :, 1] = -c.imag, c.real
+    return e.reshape(2 * MAP_POWERS, 4 * nb)
+
+
+def _taylor(blocks: np.ndarray, z: np.ndarray):
+    """(F0(z), z F0'(z)) at targets z with |z| <= 1, MAP_BLOCK at a time: the
+    powers z^0..z^31 times the coefficient blocks give the partial sums,
+    which Horner's rule in z^32 adds up."""
+    nb = blocks.shape[1] // 4
+    out = np.empty((z.size, 2), dtype=complex)
+    powers = np.empty((min(z.size, MAP_BLOCK), MAP_POWERS), dtype=complex)
+    for first in range(0, z.size, MAP_BLOCK):
+        zq = z[first : first + MAP_BLOCK]
+        p = powers[: zq.size]
+        p[:, 0], q = 1.0, 1
+        while q < MAP_POWERS:  # z^q..z^(2q-1) from z^0..z^(q-1)
+            np.multiply(p[:, :q], zq[:, None], out=p[:, q : 2 * q])
+            zq, q = zq * zq, 2 * q
+        partial = np.einsum("jm,mq->jq", p.view(float), blocks).view(complex).reshape(-1, 2, nb)
+        acc = out[first : first + MAP_BLOCK]
+        acc[:] = partial[:, :, -1]
+        for b in range(nb - 2, -1, -1):
+            acc *= zq[:, None]
+            acc += partial[:, :, b]
+    return out[:, 0], out[:, 1]
 
 
 def delta_continuation(u0: RealField, deltas, t_end: float, cfg: SolverConfig):

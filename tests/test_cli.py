@@ -261,6 +261,19 @@ class TestMain:
         assert "initial.eta" in err or "initial.eta" not in override
         assert "initial.c0" in err and "initial.amplitude" in err or "e308" not in override
 
+    def test_stability_gap_lost_in_rounding(self, tmp_path, capsys):
+        # against a datum near 1e20 the gaps round away, so every perturbed
+        # run equals the base and there is no growth to measure
+        rc = self.run(
+            "stability", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", "initial.c0=1e20",
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert "error: stability gap 0.001 is lost in rounding" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [

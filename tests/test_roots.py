@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootflow import roots
@@ -61,6 +61,20 @@ def clustered_roots(draw):
     return np.concatenate([left, [start], right])
 
 
+@st.composite
+def roots_and_start(draw):
+    """clustered_roots and a start fraction strictly inside each gap."""
+    r = draw(clustered_roots())
+    fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return r, np.array(draw(st.lists(fraction, min_size=r.size - 1, max_size=r.size - 1)))
+
+
+# a wide gap beside a 1e-11 one, started a float below the wide gap's right
+# end, where Hypothesis found a first Newton step that ended its row far from
+# the root (-4.8e-9 for -210818.51)
+STEEP_START = (np.array([-316227.7660168379, 0.0, 1e-11]), np.array([1.0 - 2.0**-52, 0.5]))
+
+
 class TestEnsemble:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -113,14 +127,26 @@ class TestDerivativeRoots:
         assert np.all(out.roots > r[:-1])
         assert np.all(out.roots < r[1:])
 
-    @given(r=clustered_roots(), data=st.data())
+    @given(case=roots_and_start())
+    @example(case=STEEP_START)
+    @example(case=(STEEP_START[0], np.array([1.0 - roots.NEWTON_YTOL, 0.5])))
     @settings(max_examples=80, deadline=None)
-    def test_matches_bisection(self, r, data):
+    def test_matches_bisection(self, case):
+        r, start = case
         assert_matches_bisection(r)
         # and from any start strictly inside every gap, as a flow's warm start
-        fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-        start = data.draw(st.lists(fraction, min_size=r.size - 1, max_size=r.size - 1))
-        assert_matches_bisection(r, np.array(start))
+        assert_matches_bisection(r, start)
+
+    @pytest.mark.parametrize("y0", [1.0 - 2.0**-52, 1.0 - roots.NEWTON_YTOL], ids=["last-float", "flow-clip"])
+    def test_steep_start_far_from_root(self, y0):
+        # from a start a float or two below r_1 = 0, h is so steep that the
+        # first Newton step is below sqrt(NEWTON_YTOL) although the root lies
+        # a third of the gap away; that step must not end the row
+        r = STEEP_START[0]
+        out = roots.derivative_roots(RootEnsemble(r, n0=r.size), [y0, 0.5]).roots
+        exact = np.sort(np.roots(np.polyder(np.poly(r))).real)
+        assert abs(out[0] - exact[0]) <= 1e-9 * (r[1] - r[0])
+        assert out[0] == pytest.approx(-210818.51, abs=0.01)
 
     @pytest.mark.parametrize(
         "start", [[0.5], [0.0, 0.5], [0.5, 1.0], [np.nan, 0.5]], ids=["length", "zero", "one", "nan"]
