@@ -385,9 +385,12 @@ def cmd_smoothing(cfg, out):
     scfg = solver_config(cfg, snapshot_times=snaps)
     u0 = build_initial(cfg)
     traj = solver.solve(u0, scfg)
+    try:  # the settings above leave only a seminorm of 0 to fail the fit
+        report = diagnostics.smoothing_fit(traj, sm["s"], sm["eps0"], sm["t_min"])
+    except ValueError as exc:
+        raise ConfigError(f"no smoothing fit at smoothing.s = {sm['s']:g}: {exc}") from exc
     write_snapshot_csv(traj, os.path.join(out, "snapshots.csv"))
     emit_diagnostics_csv(traj, os.path.join(out, "diagnostics.csv"))
-    report = diagnostics.smoothing_fit(traj, sm["s"], sm["eps0"], sm["t_min"])
     summary = Summary()
     summary.note("sup_weighted", report.sup_weighted)
     summary.note("sup_time", report.sup_time)
@@ -552,12 +555,11 @@ def main(argv=None):
                 text = f.read()
         cfg = parse_config(text)
         apply_overrides(cfg, args.set)
+        os.makedirs(args.out, exist_ok=True)  # an --out that cannot be a directory raises OSError
+        atomic_write(os.path.join(args.out, "resolved.cfg"), resolved_config_text(cfg))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES["config"]
-
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write(os.path.join(args.out, "resolved.cfg"), resolved_config_text(cfg))
 
     try:
         summary = COMMANDS[args.command](cfg, args.out)

@@ -54,21 +54,18 @@ def mass(u: RealField) -> float:
 
 
 def dissipation(u: RealField, delta: float) -> float:
-    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx = pi int gamma (Lu)^2 dx,
-    for u > 0 or delta > 0, with gamma from dynamics.coefficients.
+    """Coercive quantity int u (Lu)^2 / (delta + u^2 + (Hu)^2) dx = pi int Re F w (Lu)^2 dx,
+    for u > 0 or delta > 0, with the weight w from dynamics.weight.
 
-    F = u + iHu comes with every field the solver makes.  At delta > 0 Lu is
-    read off F_x = u_x + iLu, which the next step's tendency needs and finds
-    kept; at delta = 0 no tendency needs F_x and one irfft of |k| c gives Lu.
-    So the record of a step adds one transform at delta = 0 and none at
-    delta > 0: with its record a step makes 5 transforms at delta = 0 and 6
-    at delta > 0."""
+    At delta > 0 Lu is read off F_x = u_x + iLu, which the next step's
+    tendency needs and finds kept; at delta = 0 no tendency needs F_x and
+    one irfft of |k| c gives Lu."""
     if delta > 0:
         lu = spectral.analytic_signal(u, dx=True).imag
     else:
         lu = np.fft.irfft(u.spectrum * u.grid.wavenumbers, n=u.grid.n)
-    gamma = dynamics.coefficients(u, delta).gamma
-    return float(np.pi * u.grid.dx * np.sum(gamma * lu**2))
+    F = spectral.analytic_signal(u)
+    return float(np.pi * u.grid.dx * np.sum(F.real * dynamics.weight(u, delta) * lu**2))
 
 
 def energy_budget(traj, delta: float) -> EnergyBudget:
@@ -121,6 +118,9 @@ def smoothing_fit(traj, s: float, eps0: float, t_min: float) -> SmoothingReport:
         raise ValueError(f"need at least 3 snapshots with t >= {t_min}, got {len(pts)}")
     times = np.array([t for t, _ in pts])
     norms = np.array([spectral.sobolev_seminorm(u, 0.5 + s) for _, u in pts])
+    if not norms.all():  # a constant datum; log 0 would make the slope nan
+        zero = times[norms == 0.0][0]
+        raise ValueError(f"the H^(1/2+s) seminorm is 0 at t = {zero:g}, so it has no log-log slope")
     weighted = times ** (s + eps0) * norms
     i_sup = int(np.argmax(weighted))
     slope = float(np.polyfit(np.log(times), np.log(norms), 1)[0])

@@ -1,4 +1,4 @@
-"""Coefficients and right-hand sides of the arctan root-flow equation.
+"""The weight and right-hand sides of the arctan root-flow equation.
 
 The equation in flux form,
 
@@ -7,18 +7,18 @@ The equation in flux form,
 is equivalent, for positive u, to the quasilinear form
 
     u_t + V u_x + gamma Lu = 0,
-    V     = -(1/pi) Hu / (u^2 + (Hu)^2),
-    gamma =  (1/pi)  u / (u^2 + (Hu)^2),
+    V     = -(1/pi) Hu / (u^2 + (Hu)^2) = -Im F w,
+    gamma =  (1/pi)  u / (u^2 + (Hu)^2) =  Re F w,
 
-with L the half Laplacian.  The regularized problem adds delta to the
-denominators and a delta * u_xx viscosity term.  Everything here is read
-off the analytic signal F = u + iHu and its derivative F_x = u_x + iLu.
+with L the half Laplacian, F = u + iHu the analytic signal and one weight
+w = 1 / (pi |F|^2).  The regularized problem adds delta to the denominators
+and a delta * u_xx viscosity term.  Everything here is read off F, its
+derivative F_x = u_x + iLu and w; no V or gamma array is built.
 
 The kernels are pure functions of u and do not check their precondition,
 delta >= 0 and, at delta = 0, u > 0; the solver's floor holds it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,34 +26,32 @@ import numpy as np
 from . import spectral
 from .spectral import RealField
 
-@dataclass(frozen=True)
-class Coefficients:
-    V: np.ndarray
-    gamma: np.ndarray
 
-
-def coefficients(u: RealField, delta: float) -> Coefficients:
-    """Transport velocity V = -Im F w and dissipation weight gamma = Re F w,
-    with w = 1 / (pi (delta + |F|^2)) formed once."""
-    F = spectral.analytic_signal(u)
-    w = 1.0 / (np.pi * (delta + F.real**2 + F.imag**2))
-    return Coefficients(-F.imag * w, F.real * w)
+def weight(u: RealField, delta: float) -> np.ndarray:
+    """w = 1 / (pi (delta + |F|^2)), computed once per field and delta and
+    kept, read-only, like F itself."""
+    cache = u.__dict__.setdefault("_weight", {})
+    if delta not in cache:
+        F = spectral.analytic_signal(u)
+        w = 1.0 / (np.pi * (delta + F.real**2 + F.imag**2))
+        w.setflags(write=False)
+        cache[delta] = w
+    return cache[delta]
 
 
 def nonlinear_tendency(u: RealField, delta: float) -> np.ndarray:
     """The rfft spectrum of the non-viscous tendency
-    -(1/pi) Im(conj(F) F_x) / (delta + |F|^2) = -(V u_x + gamma Lu).
+    -(1/pi) Im(conj(F) F_x) / (delta + |F|^2) = (Im F Re F_x - Re F Im F_x) w.
 
     With delta = 0 this is evaluated through the flux form, which is an
     exact spectral derivative and therefore conserves the grid mean to
-    rounding; with delta > 0 through the quasilinear form, with V and gamma
-    from coefficients and u_x + iLu = F_x.
+    rounding; with delta > 0 through the weight.
     """
     if delta == 0.0:
         return tendency_flux(u)
-    co = coefficients(u, delta)
+    F = spectral.analytic_signal(u)
     Fx = spectral.analytic_signal(u, dx=True)
-    return np.fft.rfft(-(co.V * Fx.real + co.gamma * Fx.imag))
+    return np.fft.rfft((F.imag * Fx.real - F.real * Fx.imag) * weight(u, delta))
 
 
 def tendency_flux(u: RealField) -> np.ndarray:

@@ -118,9 +118,10 @@ def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
     lands on its far end or does not halve the row's previous step is
     replaced by the bracket midpoint.  A row stops after a Newton step below
     sqrt(NEWTON_YTOL), since Newton converges quadratically and leaves an
-    error about the step squared, but never on its first evaluation, where a
-    short step may come from a steep h far from the root; or after any step
-    below NEWTON_YTOL or below two float steps of x across the gap.
+    error about the step squared, or after any step below NEWTON_YTOL or
+    below two float steps of x across the gap; but the Newton step of its
+    first evaluation, which may be short because h is steep far from the
+    root, never stops it.
     Rows go in blocks of BLOCK_ROWS, so memory is O(BLOCK_ROWS * n).
     """
     r = e.roots
@@ -160,9 +161,12 @@ def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
             newton &= np.abs(cand - yr) <= 0.5 * prev[rows]
             y[rows] = np.where(newton, cand, 0.5 * (lo[rows] + hi[rows]))
             step = prev[rows] = np.abs(y[rows] - yr)
-            # no quadratic stop on a first step, which is short where h is
-            # steep, not only near the root
-            rows = rows[(step >= ytol[rows]) & ~(newton & (step < NEWTON_YTOL**0.5) & (it > 0))]
+            # a first Newton step, however short, ends no row: it is short
+            # where h is steep, not only near the root
+            if it == 0:
+                rows = rows[(step >= ytol[rows]) | newton]
+            else:
+                rows = rows[(step >= ytol[rows]) & ~(newton & (step < NEWTON_YTOL**0.5))]
             if rows.size == 0:
                 break
         else:

@@ -102,12 +102,14 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
 
 
 def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
-    """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max)."""
-    coeffs = dynamics.coefficients(state.u, cfg.delta)
+    """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
+    with gamma = Re F w and |V| = |Im F| w read off F and the weight."""
+    F = spectral.analytic_signal(state.u)
+    w = dynamics.weight(state.u, cfg.delta)
     grid = state.u.grid
     return cfg.cfl * min(
-        1.0 / (max(float(coeffs.gamma.max()), 1e-300) * grid.kmax),
-        grid.dx / max(float(np.abs(coeffs.V).max()), 1e-300),
+        1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
+        grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
         cfg.dt_max,
     )
 
@@ -165,7 +167,7 @@ def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) ->
     traj.snapshots.append((0.0, u))
     if records:
         _append_record(traj, SolverState(t=0.0, u=u), cfg.delta, 0)
-    # delta + |F|^2 must be finite, or gamma and V read 0 and bound no step;
+    # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
     # the record of non-constant data overflows first and names its fields
     f_max = float(np.abs(spectral.analytic_signal(u)).max())
     if not math.isfinite(cfg.delta + f_max * f_max):
@@ -189,7 +191,8 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     finite and above the floor, and a datum whose u^2 + (Hu)^2 overflows
     aborts at set-up.  Transforms: the datum's rfft and the mollified
     datum's ifft at set-up, then 4 a step at delta = 0 and 6 at delta > 0;
-    records add one at set-up and, at delta = 0, one a step.
+    records add one at set-up and, at delta = 0, one a step.  dynamics.weight
+    is formed for the datum, then once a step at delta = 0 and twice at delta > 0.
     """
     traj = Trajectory()
     state = SolverState(t=0.0, u=_start(u0, cfg, traj, records))

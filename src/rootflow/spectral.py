@@ -92,10 +92,9 @@ def from_spectrum(grid: PeriodicGrid, c: np.ndarray) -> RealField:
     One complex ifft of the one-sided spectrum, zero-padded to length n,
     gives F = f + iHf, kept for analytic_signal, and the samples Re F; bins 0
     and n/2 lose their imaginary parts, as in irfft.  It is the one inverse
-    transform of each field a solver step makes: a step makes 4 transforms
-    at delta = 0 and 6 at delta > 0, and its record adds one at delta = 0.
-    The samples come fresh, so RealField's copy and finiteness check are
-    skipped: a caller whose c may be non-finite checks the samples."""
+    transform of each field a solver step makes.  The samples come fresh, so
+    RealField's copy and finiteness check are skipped: a caller whose c may
+    be non-finite checks the samples."""
     F = np.fft.ifft(_one_sided(grid, c), n=grid.n)
     return _fresh_field(grid, F.real.copy(), c, {False: F})
 
@@ -241,22 +240,18 @@ def check_same_grid(*fields):
 
 def analytic_signal(f: RealField, dx: bool = False) -> np.ndarray:
     """F = f + iHf, or with dx its derivative F_x = f_x + iLf, computed once
-    per field and kept.  For a field built by from_spectrum, F comes with
-    the field: Re F is its samples bit for bit and Im F is hilbert(f) to
-    rounding.  For any other field Re F and Im F are f and hilbert(f) bit for
-    bit.  Re F_x and Im F_x are derivative(f) and frac_laplacian(f) to
-    rounding."""
+    per field and kept: the ifft of f's one-sided spectrum, times i|k| with
+    dx.  A field built by from_spectrum comes with F, whose real part is its
+    samples bit for bit.  Re F, Im F, Re F_x and Im F_x are f, hilbert(f),
+    derivative(f) and frac_laplacian(f) to rounding."""
     cache = f.__dict__.setdefault("_analytic", {})
     if dx not in cache:
+        spec = _one_sided(f.grid, f.spectrum)
         if dx:
-            # F_x = i|k| F on F's one-sided spectrum; the Nyquist bin, real in
-            # F, turns imaginary, as L keeps it and d/dx zeroes it
-            spec = _one_sided(f.grid, f.spectrum)
+            # F_x = i|k| F; the Nyquist bin, real in F, turns imaginary, as L
+            # keeps it and d/dx zeroes it
             spec *= 1j * f.grid.wavenumbers
-            F = np.fft.ifft(spec, n=f.grid.n)
-        else:
-            # Re F is f itself, and hilbert(f) gives the rest
-            F = f.values + 1j * hilbert(f).values
+        F = np.fft.ifft(spec, n=f.grid.n)
         F.setflags(write=False)
         cache[dx] = F
     return cache[dx]

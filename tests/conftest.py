@@ -1,6 +1,12 @@
+import contextlib
+import io
+import math
+import os
+
 import numpy as np
 import pytest
 
+from rootflow import cli
 from rootflow.spectral import PeriodicGrid, RealField
 
 
@@ -64,6 +70,37 @@ def field_with_nyquist(grid, rng, floor=0.5):
     f = band_limited_field(grid, rng)
     v = f.values + 0.1 * np.cos(grid.kmax * grid.points)
     return RealField(grid, v - v.min() + floor)
+
+
+def run_cli(*argv):
+    """cli.main in this process; returns the exit code and the stderr text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, err.getvalue()
+
+
+def assert_ends_cleanly(rc, err, out):
+    """The run passed or exited with a documented code and the matching
+    `error:` or `run aborted:` line, with no traceback, and every number in
+    every CSV it wrote in the directory out is finite."""
+    assert rc in (0, *cli.EXIT_CODES.values())
+    assert "Traceback" not in err
+    if rc == cli.EXIT_CODES["config"]:
+        assert err.startswith("error:")
+    elif rc in (cli.EXIT_CODES["abort"], cli.EXIT_CODES["max_steps"]):
+        assert err.startswith("run aborted:")
+    else:
+        assert err == ""
+    for name in os.listdir(out):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name)) as f:
+                for token in f.read().replace("\n", ",").split(","):
+                    try:
+                        value = float(token)
+                    except ValueError:  # a header or a check's name
+                        continue
+                    assert math.isfinite(value), f"{name} holds {token}"
 
 
 @pytest.fixture

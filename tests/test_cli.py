@@ -3,15 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootflow
 from rootflow import cli, solver
 from rootflow.cli import ConfigError
 from rootflow.solver import SolverConfig
 from rootflow.spectral import PeriodicGrid, RealField
+
+from conftest import assert_ends_cleanly, run_cli
 
 
 def _float_kind(parse):
@@ -315,6 +320,32 @@ class TestMain:
         assert "error:" in err and "smoothing.s" in err and "grid.n = 64" in err
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("delta", ["0", "1e-3"])
+    def test_smoothing_constant_datum(self, tmp_path, capsys, delta):
+        # a constant datum stays constant, so its H^(1/2+s) seminorm is 0 and
+        # has no log-log slope: a config error, as a stability gap lost in
+        # rounding is, with no warning and no nan written
+        rc = self.run(
+            "smoothing", "--out", str(tmp_path), "--set", "grid.n=32", "--set", "initial.kind=constant",
+            "--set", "solver.t_end=0.05", "--set", f"solver.delta={delta}",
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seminorm is 0 at t = 0.01" in err
+        assert sorted(os.listdir(tmp_path)) == ["resolved.cfg"]
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_cannot_be_a_directory(self, tmp_path, capsys, below):
+        # --out names a file, or a path under one
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        rc = self.run("check-operators", "--out", str(out), "--set", "grid.n=16")
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))
         assert rc == cli.EXIT_CODES["config"]
@@ -417,3 +448,42 @@ class TestMain:
         )
         assert rc == 0
         assert "Traceback" not in capsys.readouterr().err
+
+
+@st.composite
+def run_settings(draw):
+    """--set overrides at n <= 64 and t_end <= 0.2: every kind of datum,
+    delta 0 and > 0, and one draw in eight at an extreme scale; the cosine
+    amplitude is drawn relative to c0, so most data are positive."""
+    extreme = draw(st.integers(0, 7)) == 0
+    c0 = draw(st.sampled_from([1e-300, 1e200, 1e300]) if extreme else st.floats(1e-2, 1e2))
+    return {
+        "grid.n": draw(st.sampled_from([16, 32, 64])),
+        "initial.kind": draw(st.sampled_from(["constant", "cosine", "rough", "bump"])),
+        "initial.c0": c0,
+        "initial.amplitude": draw(st.floats(0.0, 1.2)) * c0,
+        "initial.mode": draw(st.integers(1, 40)),
+        "initial.eta": draw(st.floats(0.01, 4.0)),
+        "initial.bump_halfwidth": draw(st.floats(0.05, 3.1)),
+        "initial.bump_floor": draw(st.floats(1e-4, 0.1)),
+        "solver.delta": draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.1))),
+        "solver.t_end": draw(st.floats(0.0, 0.2)),
+        "solver.cfl": draw(st.floats(0.05, 1.0)),
+        "solver.seed": draw(st.integers(0, 1000)),
+        "solver.max_steps": 300,  # keeps each run short; a run that needs more exits 11
+        "smoothing.s": draw(st.floats(0.1, 4.0)),
+        "smoothing.t_min": draw(st.floats(1e-3, 0.05)),
+        "smoothing.num_snapshots": draw(st.integers(3, 8)),
+    }
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-delta", "smoothing", "stability", "check-operators"])
+@given(sets=run_settings())
+@settings(max_examples=10, deadline=None)
+def test_command_ends_cleanly(command, sets):
+    # every input passes or exits with a documented code and its message,
+    # with no traceback or warning, and whatever is written is finite
+    with tempfile.TemporaryDirectory() as out:
+        argv = [a for key, value in sets.items() for a in ("--set", f"{key}={value}")]
+        rc, err = run_cli(command, "--out", out, *argv)
+        assert_ends_cleanly(rc, err, out)

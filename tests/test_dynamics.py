@@ -20,18 +20,24 @@ def samples(u, spec):
     return spectral.from_spectrum(u.grid, spec).values
 
 
-class TestCoefficients:
+def gamma_and_v(u, delta):
+    """The dissipation weight gamma = Re F w and velocity V = -Im F w."""
+    F, w = spectral.analytic_signal(u), dynamics.weight(u, delta)
+    return F.real * w, -F.imag * w
+
+
+class TestWeight:
     def test_constant_field(self, grid):
         c = 1.5
         u = RealField(grid, np.full(grid.n, c))
-        co = dynamics.coefficients(u, 0.0)
-        assert np.abs(co.V).max() < 1e-12
-        assert np.abs(co.gamma - 1.0 / (np.pi * c)).max() < 1e-12
+        gamma, V = gamma_and_v(u, 0.0)
+        assert np.abs(V).max() < 1e-12
+        assert np.abs(gamma - 1.0 / (np.pi * c)).max() < 1e-12
 
     def test_delta_enters_denominator(self, grid):
         u = RealField(grid, np.full(grid.n, 1.0))
-        co = dynamics.coefficients(u, 0.5)
-        assert np.abs(co.gamma - 1.0 / (np.pi * 1.5)).max() < 1e-12
+        gamma, _ = gamma_and_v(u, 0.5)
+        assert np.abs(gamma - 1.0 / (np.pi * 1.5)).max() < 1e-12
 
     @given(seed=st.integers(0, 2**16), delta=st.sampled_from([0.0, 1e-3, 1e-1]))
     @settings(max_examples=30, deadline=None)
@@ -40,10 +46,38 @@ class TestCoefficients:
         # u/(u^2+v^2) and v/(u^2+v^2) are maximized on the circle u = const
         grid = PeriodicGrid(128)
         u = positive_band_limited_field(grid, np.random.default_rng(seed), floor=0.5)
-        co = dynamics.coefficients(u, delta)
+        gamma, V = gamma_and_v(u, delta)
         c0 = u.min()
-        assert co.gamma.max() <= 1.0 / (np.pi * c0) + 1e-12
-        assert np.abs(co.V).max() <= 1.0 / (2.0 * np.pi * c0) + 1e-12
+        assert gamma.max() <= 1.0 / (np.pi * c0) + 1e-12
+        assert np.abs(V).max() <= 1.0 / (2.0 * np.pi * c0) + 1e-12
+
+    def test_computed_once_per_field_and_delta(self, grid, rng):
+        u = positive_band_limited_field(grid, rng)
+        w = dynamics.weight(u, 1e-3)
+        assert dynamics.weight(u, 1e-3) is w
+        assert not w.flags.writeable
+        w0 = dynamics.weight(u, 0.0)
+        assert w0 is not w and dynamics.weight(u, 0.0) is w0
+
+    @pytest.mark.parametrize("delta, per_step", [(0.0, 1), (1e-3, 2)])
+    def test_formed_once_per_field_in_a_solve(self, monkeypatch, delta, per_step):
+        # the record, the dt bound and the first stage of the next step read
+        # one weight; at delta > 0 the predictor forms one more, at delta = 0
+        # its tendency needs none; set-up forms the datum's
+        formed = {}
+        weight = dynamics.weight
+
+        def counted(u, d):
+            w = weight(u, d)
+            formed[id(w)] = w  # kept, so no id is reused
+            return w
+
+        monkeypatch.setattr(dynamics, "weight", counted)
+        u0 = solver.rough_initial_data(PeriodicGrid(64), seed=0)
+        traj = solver.solve(u0, solver.SolverConfig(delta=delta, t_end=0.3, cfl=0.4))
+        steps = len(traj.records) - 1
+        assert steps > 5
+        assert len(formed) == per_step * steps + 1
 
 
 class TestTendencies:

@@ -73,6 +73,11 @@ def roots_and_start(draw):
 # end, where Hypothesis found a first Newton step that ended its row far from
 # the root (-4.8e-9 for -210818.51)
 STEEP_START = (np.array([-316227.7660168379, 0.0, 1e-11]), np.array([1.0 - 2.0**-52, 0.5]))
+# the same shifted by about 1.45, where Hypothesis found a first Newton step
+# below NEWTON_YTOL (5.6e-16, with h = -2.7) that ended its row a float below y = 1
+SHIFTED_STEEP_START = (
+    np.array([-316226.31316006253, 1.452856775347204, 1.452856775357204]), np.array([1.0 - 2.0**-52, 0.5])
+)
 
 
 class TestEnsemble:
@@ -130,6 +135,7 @@ class TestDerivativeRoots:
     @given(case=roots_and_start())
     @example(case=STEEP_START)
     @example(case=(STEEP_START[0], np.array([1.0 - roots.NEWTON_YTOL, 0.5])))
+    @example(case=SHIFTED_STEEP_START)
     @settings(max_examples=80, deadline=None)
     def test_matches_bisection(self, case):
         r, start = case
