@@ -42,6 +42,7 @@ EXIT_CODES = {
     "roots": 10,
     "max_steps": 11,
 }
+SEAM_MARGIN = 0.5  # roots-compare's bump may hold no more than 1e-8 of its mass this close to +-pi
 
 
 class ConfigError(ValueError):
@@ -118,7 +119,6 @@ SCHEMA = {
     "roots": {
         "counts": (_list_of(int), (100, 200, 400), lambda v: len(v) > 0 and min(v) >= 2, "non-empty, >= 2"),
         "t": (float, 0.3, lambda v: 0 <= v < 1, "in [0, 1)"),
-        "margin": (float, 0.5, lambda v: 0 < v < np.pi, "in (0, pi)"),
         "w1_max": (float, 0.1, lambda v: v > 0, "> 0"),
     },
 }
@@ -351,6 +351,7 @@ def cmd_solve(cfg, out):
     masses = [r.mass for r in traj.records]
     drift = max(abs(m - masses[0]) for m in masses)
     tol = 1e-10 * t_end if scfg.delta == 0.0 else 10.0 * scfg.delta * t_end
+    tol = max(tol, u0.grid.n * np.spacing(abs(masses[0])))  # n summed samples round the mass by up to about n ulps
     summary.check("mass", "mass_drift", drift, tol, drift <= tol)
     return summary
 
@@ -366,8 +367,6 @@ def cmd_sweep_delta(cfg, out):
     for i, dist in enumerate(dists):
         summary.note(f"h12_distance_{i}", dist["h12"])
         summary.note(f"l2_distance_{i}", dist["l2"])
-    finite = all(np.isfinite(d["h12"]) and np.isfinite(d["l2"]) for d in dists)
-    summary.check("continuation", "distances_finite", float(finite), 1.0, finite)
     decreasing = all(b["h12"] < a["h12"] for a, b in zip(dists, dists[1:]))
     summary.check("continuation", "h12_distances_decreasing", float(decreasing), 1.0, decreasing)
     return summary
@@ -436,22 +435,31 @@ def cmd_roots_compare(cfg, out):
     cfg = {**cfg, "initial": {**cfg["initial"], "kind": "bump"}}
     ini = cfg["initial"]
     u0 = build_initial(cfg)
-    # roots are seeded from the ideal bump density; the small positive floor
-    # only exists to keep the PDE run away from zero
-    bump0 = RealField(u0.grid, np.maximum(u0.values - ini["bump_floor"], 0.0))
+    # one table serves the sampling, the seam rule and the comparison: the
+    # seam-centred grid points of the initial support, where interlacing
+    # keeps every surviving root; roots are seeded from the bump without the
+    # floor, which only keeps the PDE run away from zero
+    x, values = roots.window(u0)
+    inside = np.abs(x) <= ini["bump_halfwidth"]
+    x, bump = x[inside], np.maximum(values[inside] - ini["bump_floor"], 0.0)
+    if x.size < 2:
+        raise ConfigError(
+            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g} holds {x.size} grid point(s) at grid.n = "
+            f"{u0.grid.n}, too few to compare densities on"
+        )
+    seam_mass = np.sum(bump[np.abs(x) > np.pi - SEAM_MARGIN])
+    if seam_mass > 1e-8 * np.sum(bump):
+        raise ConfigError(
+            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g} puts {seam_mass / np.sum(bump):.3e} of the "
+            f"bump's mass within {SEAM_MARGIN:g} of the periodic seam"
+        )
     try:
-        ensembles = [roots.quantile_sample_field(bump0, margin=rt["margin"], n=n) for n in rt["counts"]]
+        ensembles = [roots.quantile_sample(x, bump, n) for n in rt["counts"]]
     except ValueError as exc:
         raise ConfigError(
             f"cannot sample roots from the bump (initial.bump_floor = {ini['bump_floor']:g}, "
-            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g}, roots.margin = {rt['margin']:g}): {exc}"
+            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g}): {exc}"
         ) from exc
-    support = np.count_nonzero(np.abs(roots.seam_centred(u0.grid.points)) <= ini["bump_halfwidth"])
-    if support < 2:  # the densities are compared on the grid points of the initial support
-        raise ConfigError(
-            f"initial.bump_halfwidth = {ini['bump_halfwidth']:g} holds {support} grid point(s) at grid.n = "
-            f"{u0.grid.n}, too few to compare densities on"
-        )
     scfg = solver_config(cfg, t_end=rt["t"], pos_floor=ini["bump_floor"] / 2)
     # delta = 0 has an exact solution by characteristics; viscosity breaks it
     if scfg.delta == 0.0:
@@ -461,15 +469,13 @@ def cmd_roots_compare(cfg, out):
     u_final = traj.snapshots[-1][1]
     write_snapshot_csv(traj, os.path.join(out, "snapshots.csv"))
     summary = Summary()
-    # compare on the initial support: interlacing keeps every surviving root
-    # inside it, while the mass the PDE expels from the bump piles up just
-    # outside the shrinking support and belongs to no surviving root
-    x, dens = roots.window(u_final)
-    inside = np.abs(x) <= ini["bump_halfwidth"]
+    # the mass the PDE expels from the bump piles up just outside the
+    # shrinking support and belongs to no surviving root
+    dens = roots.window(u_final)[1][inside]
     w1s = []
     for n, ens in zip(rt["counts"], ensembles):
         flowed = roots.root_flow(ens, rt["t"])
-        w1 = roots.wasserstein1(flowed, x[inside], dens[inside])
+        w1 = roots.wasserstein1(flowed, x, dens)
         summary.note(f"w1_n_{n}", w1)
         summary.check("roots", f"w1_finite_and_small_n_{n}", w1, rt["w1_max"], np.isfinite(w1) and w1 < rt["w1_max"])
         w1s.append(w1)

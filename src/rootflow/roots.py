@@ -93,20 +93,6 @@ def window(u):
     return x[order], u.values[order]
 
 
-def quantile_sample_field(u, margin: float = 0.5, n: int = 100) -> RootEnsemble:
-    """Quantile-sample a periodic field treated as a density on the window
-    (-pi + margin, pi - margin); the support must not touch the seam."""
-    x, vals = window(u)
-    inside = np.abs(x) <= np.pi - margin
-    outside_mass = u.grid.dx * np.sum(vals[~inside])
-    if outside_mass > 1e-8 * u.grid.dx * np.sum(vals):
-        raise ValueError(
-            f"density support reaches the periodic seam "
-            f"(mass {outside_mass:.3e} outside the window)"
-        )
-    return quantile_sample(x[inside], vals[inside], n)
-
-
 def derivative_roots(e: RootEnsemble, start=None) -> RootEnsemble:
     """Roots of p' for p(x) = prod (x - r_i), one per interlacing interval.
 

@@ -228,7 +228,6 @@ MAP_FAILURES = (
     "a Newton step did not shrink",
     f"Newton took more than {MAP_NEWTON_ITER} steps",
 )
-MAP_TARGETS = 512  # targets per continuation block; a block of 1024 lifted the peak RSS of a run by about 0.2 MB
 MAP_BLOCK = 128  # targets per evaluation block: work arrays are MAP_BLOCK x 2 MAP_POWERS
 MAP_POWERS = 32  # F0 is sum_b z^(32 b) sum_m a_(32 b + m) z^m; a power of two
 
@@ -286,20 +285,10 @@ def characteristic_feet(a: np.ndarray, x: np.ndarray, times, F: np.ndarray) -> n
     MAP_TOL, or no shorter than one below MAP_STALL, and the next is 1.5 times
     longer; it fails on any other Newton step that is not taken or after
     MAP_NEWTON_ITER of them, and is retried at a quarter of its length.
-    Targets go MAP_TARGETS at a time, and F0 and z F0' are evaluated
-    MAP_BLOCK targets at a time.
+    F0 and z F0' are evaluated MAP_BLOCK targets at a time.
     """
     times = np.asarray(times, dtype=float)
     blocks = _taylor_blocks(a)
-    feet = np.empty((times.size, x.size), dtype=complex)
-    for first in range(0, x.size, MAP_TARGETS):
-        part = slice(first, first + MAP_TARGETS)
-        feet[:, part] = _feet(blocks, x[part], times, F[part])
-    return feet
-
-
-def _feet(blocks, x, times, F):
-    """characteristic_feet of up to MAP_TARGETS targets, F0 given by _taylor_blocks."""
     ix = 1j * x
     zeta0 = ix.copy()  # log of the last foot found, at s0
     s0 = np.zeros(x.size)
@@ -375,7 +364,11 @@ def _taylor_blocks(a: np.ndarray) -> np.ndarray:
     function q (0 for F0, 1 for z F0') fills rows 2m, 2m + 1 and columns
     2j, 2j + 1, j = qB + b, as [[Re c, Im c], [-Im c, Re c]]: the real
     product of (Re z^m, Im z^m) pairs with it gives (Re, Im) pairs of the
-    partial sums sum_m c z^m."""
+    partial sums sum_m c z^m.  That product is an einsum, not BLAS: on a
+    2-core machine a complex BLAS product ran the map 2.4-3.2x faster with
+    OpenBLAS pinned to one thread, but unpinned it stalled at about 5 ms a
+    call in 1 of 30 fresh processes (0 of 30 pinned), and neither the tests
+    nor the library pin it."""
     nb = -(-a.size // MAP_POWERS)
     coef = np.zeros((2, nb * MAP_POWERS), dtype=complex)
     coef[0, : a.size], coef[1, : a.size] = a, np.arange(a.size) * a

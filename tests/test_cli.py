@@ -346,6 +346,42 @@ class TestMain:
         assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "sets, code",
+        [
+            pytest.param(
+                ["grid.n=16", "initial.c0=22.814284247160224", "initial.amplitude=15.573362131232487",
+                 "initial.mode=36", "solver.delta=0.014314699396561163", "solver.t_end=1e-13"],
+                0, id="cosine-n16-3ulp",
+            ),
+            pytest.param(
+                ["grid.n=64", "initial.kind=rough", "solver.seed=1", "initial.amplitude=0.31", "solver.t_end=1e-13"],
+                0, id="rough-n64-1ulp",
+            ),
+            pytest.param(
+                ["grid.n=64", "initial.kind=bump", "solver.delta=1e-3", "solver.t_end=1e-9"], 6, id="bump-real-drift",
+            ),
+        ],
+    )
+    def test_mass_check_rounding_floor(self, tmp_path, capsys, sets, code):
+        # a drift of a few ulps of the mass is rounding, even where
+        # 10 delta t_end or 1e-10 t_end lies below one ulp; real drift fails
+        rc = self.run("solve", "--out", str(tmp_path), *(arg for kv in sets for arg in ("--set", kv)))
+        assert rc == code
+        assert ("FAIL mass_drift" in capsys.readouterr().out) == (code == cli.EXIT_CODES["mass"])
+
+    @pytest.mark.parametrize("halfwidth, code", [(2.7, 10), (2.75, 1)])
+    def test_roots_compare_seam_rule_boundary(self, tmp_path, capsys, halfwidth, code):
+        # at 2.75 more than 1e-8 of the bump's mass lies within 0.5 of the
+        # seam; at 2.7 less does, and the wide bump fails the W1 checks
+        rc = self.run(
+            "roots-compare", "--out", str(tmp_path), "--set", "grid.n=256", "--set", "roots.counts=40,80",
+            "--set", f"initial.bump_halfwidth={halfwidth}",
+        )
+        assert rc == code
+        err = capsys.readouterr().err
+        assert ("periodic seam" in err) == (code == cli.EXIT_CODES["config"])
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = self.run("solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path))
         assert rc == cli.EXIT_CODES["config"]

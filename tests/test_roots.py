@@ -300,17 +300,12 @@ class TestQuantileSampling:
         with pytest.raises(ValueError):
             roots.quantile_sample(x, np.ones_like(x), 1)
 
-    def test_field_sampling_seam_guard(self):
-        grid = PeriodicGrid(128)
-        u = RealField(grid, np.full(grid.n, 1.0))  # mass everywhere
-        with pytest.raises(ValueError):
-            roots.quantile_sample_field(u, margin=0.5, n=10)
-
-    def test_field_sampling_centered_bump(self):
+    def test_support_table_centered_bump(self):
+        # roots-compare's table: the seam-centred grid points of the support
         grid = PeriodicGrid(256)
         x = np.where(grid.points >= np.pi, grid.points - 2 * np.pi, grid.points)
-        vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 2, 0.0)
-        e = roots.quantile_sample_field(RealField(grid, vals), margin=0.5, n=30)
+        x = np.sort(x[np.abs(x) <= 1.0])
+        e = roots.quantile_sample(x, np.cos(np.pi * x / 2.0) ** 2, 30)
         assert np.abs(e.roots).max() < 1.0
         # symmetric density: quantiles are symmetric about 0
         assert np.abs(e.roots + e.roots[::-1]).max() < 1e-10
