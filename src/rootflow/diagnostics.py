@@ -59,11 +59,11 @@ def dissipation(u: RealField, delta: float) -> float:
 
     At delta > 0 Lu is read off F_x = u_x + iLu, which the next step's
     tendency needs and finds kept; at delta = 0 no tendency needs F_x and
-    one irfft of |k| c gives Lu."""
+    frac_laplacian gives Lu by one irfft."""
     if delta > 0:
         lu = spectral.analytic_signal(u, dx=True).imag
     else:
-        lu = np.fft.irfft(u.spectrum * u.grid.wavenumbers, n=u.grid.n)
+        lu = spectral.frac_laplacian(u).values
     F = spectral.analytic_signal(u)
     return float(np.pi * u.grid.dx * np.sum(F.real * dynamics.weight(u, delta) * lu**2))
 

@@ -57,13 +57,6 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass(frozen=True)
-class SolverState:
-    t: float
-    u: RealField
-    last_dt: float = 0.0
-
-
 @dataclass
 class StepRecord:
     t: float
@@ -101,12 +94,12 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
     return u
 
 
-def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
+def stable_dt(u: RealField, cfg: SolverConfig) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
     with gamma = Re F w and |V| = |Im F| w read off F and the weight."""
-    F = spectral.analytic_signal(state.u)
-    w = dynamics.weight(state.u, cfg.delta)
-    grid = state.u.grid
+    F = spectral.analytic_signal(u)
+    w = dynamics.weight(u, cfg.delta)
+    grid = u.grid
     return cfg.cfl * min(
         1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
         grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
@@ -114,12 +107,12 @@ def stable_dt(state: SolverState, cfg: SolverConfig) -> float:
     )
 
 
-def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
-    """One integrating-factor Heun step of size dt; both stages must be admissible."""
+def step(u: RealField, dt: float, cfg: SolverConfig, t: float = 0.0) -> RealField:
+    """One integrating-factor Heun step of size dt from u at time t, which
+    only an abort message names; both stages must be admissible."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u = state.u
-    t = state.t + dt
+    t += dt
     k1 = dynamics.nonlinear_tendency(u, cfg.delta)
     c_pred = u.spectrum + dt * k1
     c_new = u.spectrum + 0.5 * dt * k1
@@ -130,15 +123,13 @@ def step(state: SolverState, dt: float, cfg: SolverConfig) -> SolverState:
     pred = _admissible(spectral.from_spectrum(u.grid, c_pred), cfg, t, "predictor")
     k2 = dynamics.nonlinear_tendency(pred, cfg.delta)
     c_new += 0.5 * dt * k2
-    u_new = _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
-    return SolverState(t=t, u=u_new, last_dt=dt)
+    return _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
 
 
-def _record(state: SolverState, delta: float) -> StepRecord:
-    u = state.u
+def _record(t: float, dt: float, u: RealField, delta: float) -> StepRecord:
     return StepRecord(
-        t=state.t,
-        dt=state.last_dt,
+        t=t,
+        dt=dt,
         min_u=u.min(),
         max_u=u.max(),
         mass=mass(u),
@@ -147,13 +138,13 @@ def _record(state: SolverState, delta: float) -> StepRecord:
     )
 
 
-def _append_record(traj: Trajectory, state: SolverState, delta: float, steps: int):
-    """Append the record of state; one sum tests every field for finiteness."""
+def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, delta: float, steps: int):
+    """Append the record of u at t after a step dt; one sum tests every field for finiteness."""
     with np.errstate(over="ignore", invalid="ignore"):  # the test below names what overflowed
-        r = _record(state, delta)
+        r = _record(t, dt, u, delta)
     if not math.isfinite(r.t + r.dt + r.min_u + r.max_u + r.mass + r.h12 + r.dissipation):
         if bad := [name for name, v in vars(r).items() if not math.isfinite(v)]:  # empty if only the sum overflowed
-            raise SolverAbort(f"non-finite {', '.join(bad)} at t={state.t:.6g}, step {steps}")
+            raise SolverAbort(f"non-finite {', '.join(bad)} at t={t:.6g}, step {steps}")
     traj.records.append(r)
 
 
@@ -164,15 +155,20 @@ def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
         u = mollified_initial(u0, cfg.delta)
     u = _admissible(u, cfg, 0.0, "mollified initial data")
-    traj.snapshots.append((0.0, u))
+    traj.snapshots.append((0.0, _snapshot(u)))
     if records:
-        _append_record(traj, SolverState(t=0.0, u=u), cfg.delta, 0)
+        _append_record(traj, 0.0, 0.0, u, cfg.delta, 0)
     # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
     # the record of non-constant data overflows first and names its fields
     f_max = float(np.abs(spectral.analytic_signal(u)).max())
     if not math.isfinite(cfg.delta + f_max * f_max):
         raise SolverAbort(f"u^2 + (Hu)^2 overflows at t=0, step 0: max |u + iHu| = {f_max:.3e} leaves no dt bound")
     return u
+
+
+def _snapshot(u: RealField) -> RealField:
+    """u's read-only samples and spectrum, not copied, without the F, F_x and w steps read."""
+    return spectral._fresh_field(u.grid, u.values, u.spectrum, {})
 
 
 def _stops(cfg: SolverConfig) -> list:
@@ -184,38 +180,41 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     """Integrate from the mollified initial data to t_end.
 
     Snapshots are recorded at t=0, at every distinct requested snapshot time
-    and at t_end, which steps land on exactly.  With records, a StepRecord
-    is appended for the initial state and after every accepted step; a
-    caller that reads only snapshots passes records=False, and traj.records
-    stays empty.  Every predictor and step result is still checked to be
-    finite and above the floor, and a datum whose u^2 + (Hu)^2 overflows
-    aborts at set-up.  Transforms: the datum's rfft and the mollified
-    datum's ifft at set-up, then 4 a step at delta = 0 and 6 at delta > 0;
-    records add one at set-up and, at delta = 0, one a step.  dynamics.weight
-    is formed for the datum, then once a step at delta = 0 and twice at delta > 0.
+    and at t_end, which steps land on exactly.  A snapshot keeps the
+    field's read-only samples and spectrum, not its F, F_x or w, which only
+    the next step reads.  With records, a StepRecord is appended for the
+    initial state and after every accepted step; a caller that reads only
+    snapshots passes records=False, and traj.records stays empty.  Every
+    predictor and step result is still checked to be finite and above the
+    floor, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
+    Transforms: the datum's rfft and the mollified datum's ifft at set-up,
+    then 4 a step at delta = 0 and 6 at delta > 0; records add one at set-up
+    and, at delta = 0, one a step.  dynamics.weight is formed for the datum,
+    then once a step at delta = 0 and twice at delta > 0.
     """
     traj = Trajectory()
-    state = SolverState(t=0.0, u=_start(u0, cfg, traj, records))
-    steps = 0
+    u = _start(u0, cfg, traj, records)
+    t, steps = 0.0, 0
     for stop in _stops(cfg):
-        while state.t < stop:
+        while t < stop:
             if steps >= cfg.max_steps:
                 raise StepLimitAbort(
-                    f"step limit {cfg.max_steps} reached at t={state.t:.6g}, step {steps}, short of stop {stop:.6g}"
+                    f"step limit {cfg.max_steps} reached at t={t:.6g}, step {steps}, short of stop {stop:.6g}"
                 )
-            dt = stable_dt(state, cfg)
+            dt = stable_dt(u, cfg)
             if dt < np.spacing(stop):  # at this dt, stop lies over 2^52 steps from t = 0
                 raise SolverAbort(
-                    f"dt={dt:.3e} at t={state.t:.6g}, step {steps + 1}: below one float step of stop {stop:.6g}"
+                    f"dt={dt:.3e} at t={t:.6g}, step {steps + 1}: below one float step of stop {stop:.6g}"
                 )
-            if state.t + dt >= stop:
-                state = replace(step(state, stop - state.t, cfg), t=stop)
+            if t + dt >= stop:
+                dt = stop - t
+                u, t = step(u, dt, cfg, t), stop
             else:
-                state = step(state, dt, cfg)
+                u, t = step(u, dt, cfg, t), t + dt
             steps += 1
             if records:
-                _append_record(traj, state, cfg.delta, steps)
-        traj.snapshots.append((stop, state.u))
+                _append_record(traj, t, dt, u, cfg.delta, steps)
+        traj.snapshots.append((stop, _snapshot(u)))
     return traj
 
 
@@ -259,8 +258,8 @@ def characteristic_snapshots(u0: RealField, cfg: SolverConfig) -> Trajectory:
         return traj
     grid = u.grid
     a = spectral._one_sided(grid, u.spectrum) / grid.n
-    feet = characteristic_feet(a, grid.points, times, spectral.analytic_signal(u))
     blocks = _taylor_blocks(a)
+    feet = characteristic_feet(blocks, grid.points, times, spectral.analytic_signal(u))
     for t, z0 in zip(times, feet):
         values = _taylor(blocks, z0)[0].real
         values += a[0].real - values.mean()
@@ -268,10 +267,10 @@ def characteristic_snapshots(u0: RealField, cfg: SolverConfig) -> Trajectory:
     return traj
 
 
-def characteristic_feet(a: np.ndarray, x: np.ndarray, times, F: np.ndarray) -> np.ndarray:
+def characteristic_feet(blocks: np.ndarray, x: np.ndarray, times, F: np.ndarray) -> np.ndarray:
     """Feet z0 with z0 exp(t / (pi F0(z0))) = e^(ix) for each time in times
-    (increasing, positive) and each target x; F0 has the Taylor coefficients
-    a and F is F0(e^(ix)).  Returns an array of shape (len(times), len(x)).
+    (increasing, positive) and each target x; F0 = sum a_k z^k has the
+    blocks _taylor_blocks(a), and F is F0(e^(ix)).  Returns (len(times), len(x)).
 
     Each target follows its foot from z0 = e^(ix) at s = 0 by its own
     continuation in s, landing on every time; its first step tries the whole
@@ -288,7 +287,6 @@ def characteristic_feet(a: np.ndarray, x: np.ndarray, times, F: np.ndarray) -> n
     F0 and z F0' are evaluated MAP_BLOCK targets at a time.
     """
     times = np.asarray(times, dtype=float)
-    blocks = _taylor_blocks(a)
     ix = 1j * x
     zeta0 = ix.copy()  # log of the last foot found, at s0
     s0 = np.zeros(x.size)

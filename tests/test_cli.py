@@ -400,6 +400,20 @@ class TestMain:
         assert "run aborted:" in proc.stderr and "dt=" in proc.stderr and "step 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "override, code, message",
+        [
+            ("solver.t_end=1e15", "abort", "below one float step of stop 1e+15"),
+            ("bogus.key=1", "config", "unknown config section [bogus]"),
+        ],
+    )
+    def test_override_message(self, tmp_path, capsys, override, code, message):
+        # a stop so far out that the first dt is below its float step aborts
+        # at once, and an override names an unknown section as a file does
+        rc = self.run("solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", override)
+        assert rc == cli.EXIT_CODES[code]
+        assert message in capsys.readouterr().err
+
     def test_step_limit_exit(self, tmp_path):
         # dt shrinks with the datum, so this one would need about 1e11 steps;
         # in a child process, so that a missed limit fails at the timeout
@@ -418,6 +432,10 @@ class TestMain:
         "command, sets",
         [
             pytest.param("roots-compare", ["grid.n=256", "roots.counts=40,80"], id="roots-compare"),
+            # delta > 0 has no exact map, so the bump is solved by Heun
+            pytest.param(
+                "roots-compare", ["grid.n=256", "solver.delta=1e-3", "roots.counts=20,40"], id="roots-compare-delta"
+            ),
             pytest.param("stability", ["grid.n=64", "solver.t_end=0.1"], id="stability"),
         ],
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rootflow import solver, spectral
-from rootflow.solver import SolverAbort, SolverConfig, SolverState, StepLimitAbort, Trajectory
+from rootflow.solver import SolverAbort, SolverConfig, StepLimitAbort
 from rootflow.spectral import PeriodicGrid, RealField
 
 
@@ -59,28 +59,25 @@ class TestConfig:
 class TestStepping:
     def test_step_rejects_nonpositive_dt(self):
         grid = PeriodicGrid(64)
-        state = SolverState(t=0.0, u=cosine_datum(grid))
         with pytest.raises(ValueError):
-            solver.step(state, 0.0, SolverConfig())
+            solver.step(cosine_datum(grid), 0.0, SolverConfig())
 
     @pytest.mark.parametrize("delta", [0.0, 1e-2])
     def test_step_aborts_on_positivity_loss(self, delta):
         grid = PeriodicGrid(64)
         # a huge step drives the explicit predictor through zero
         u = RealField(grid, 0.02 + 0.0199 * np.cos(grid.points))
-        state = SolverState(t=0.0, u=u)
         with pytest.raises(SolverAbort, match=r"predictor at t=50 non-finite or not above floor 1\.000e-10: min u = -"):
-            solver.step(state, 50.0, SolverConfig(delta=delta))
+            solver.step(u, 50.0, SolverConfig(delta=delta))
 
     def test_constant_datum_is_fixed_point(self):
         grid = PeriodicGrid(64)
-        u = RealField(grid, np.full(grid.n, 1.3))
         for delta in (0.0, 1e-2):
             cfg = SolverConfig(delta=delta)
-            state = SolverState(t=0.0, u=u)
+            u = RealField(grid, np.full(grid.n, 1.3))
             for _ in range(5):
-                state = solver.step(state, 1e-2, cfg)
-            assert np.abs(state.u.values - 1.3).max() < 1e-13
+                u = solver.step(u, 1e-2, cfg)
+            assert np.abs(u.values - 1.3).max() < 1e-13
 
 
 class TestSolve:
@@ -184,6 +181,26 @@ class TestSolve:
             r = by_time[t]
             got = [r.min_u, r.max_u, r.mass, r.h12, r.dissipation]
             np.testing.assert_allclose(got, numpy_field_quantities(u.values, delta), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_snapshots_carry_no_stepping_cache(self, monkeypatch, delta):
+        # a snapshot shares the samples and spectrum of the field the run
+        # stepped, but none of its F, F_x or w: F takes one ifft afresh, and
+        # its real part is the samples bit for bit
+        grid = PeriodicGrid(64)
+        traj = solver.solve(cosine_datum(grid), SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,)))
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        for _, u in traj.snapshots:
+            assert "_weight" not in u.__dict__
+            assert np.array_equal(spectral.analytic_signal(u).real, u.values)
+        assert calls == ["ifft"] * len(traj.snapshots)
 
     def test_step_limit(self):
         grid = PeriodicGrid(64)
