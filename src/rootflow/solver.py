@@ -9,6 +9,7 @@ delta = 0.  The stages are sums of the spectra the fields keep.
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class SolverConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     t: float
     dt: float
     min_u: float
@@ -127,23 +127,15 @@ def step(u: RealField, dt: float, cfg: SolverConfig, t: float = 0.0) -> RealFiel
 
 
 def _record(t: float, dt: float, u: RealField, delta: float) -> StepRecord:
-    return StepRecord(
-        t=t,
-        dt=dt,
-        min_u=u.min(),
-        max_u=u.max(),
-        mass=mass(u),
-        h12=spectral.sobolev_seminorm(u, 0.5),
-        dissipation=dissipation(u, delta),
-    )
+    return StepRecord(t, dt, u.min(), u.max(), mass(u), spectral.sobolev_seminorm(u, 0.5), dissipation(u, delta))
 
 
 def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, delta: float, steps: int):
     """Append the record of u at t after a step dt; one sum tests every field for finiteness."""
     with np.errstate(over="ignore", invalid="ignore"):  # the test below names what overflowed
         r = _record(t, dt, u, delta)
-    if not math.isfinite(r.t + r.dt + r.min_u + r.max_u + r.mass + r.h12 + r.dissipation):
-        if bad := [name for name, v in vars(r).items() if not math.isfinite(v)]:  # empty if only the sum overflowed
+    if not math.isfinite(sum(r)):
+        if bad := [name for name, v in zip(r._fields, r) if not math.isfinite(v)]:  # empty if only the sum overflowed
             raise SolverAbort(f"non-finite {', '.join(bad)} at t={t:.6g}, step {steps}")
     traj.records.append(r)
 

@@ -221,9 +221,8 @@ def sobolev_seminorm(f: RealField, s: float) -> float:
 
 @lru_cache(maxsize=32)
 def _seminorm_weights(grid: PeriodicGrid, s: float) -> np.ndarray:
-    """w_k |k|^(2s) for k = 1..n/2: w_k = 2, as bin k stands for +/-k, but 1 at Nyquist."""
-    k = grid.wavenumbers[1:].astype(float)
-    weights = np.where(k < grid.kmax, 2.0, 1.0) * k ** (2.0 * s)
+    """w_k |k|^(2s) for k = 1..n/2, with the one-sided weights w_k of _analytic_weights."""
+    weights = _analytic_weights(grid)[1:] * grid.wavenumbers[1:].astype(float) ** (2.0 * s)
     weights.setflags(write=False)
     return weights
 

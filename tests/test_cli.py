@@ -112,6 +112,24 @@ class TestCsvFormats:
         assert (tmp_path / "snap.csv").read_bytes() == snap.encode()
         assert (tmp_path / "diag.csv").read_bytes() == diag.encode()
 
+    def test_records_are_rows_of_one_table(self, tmp_path, monkeypatch):
+        # a record is a tuple with no __dict__, one row of the table the
+        # diagnostics read, and diagnostics.csv is headed by its field names
+        dts, step = [], solver.step
+
+        def counted_step(u, dt, cfg, t=0.0):
+            dts.append(dt)
+            return step(u, dt, cfg, t)
+
+        monkeypatch.setattr(solver, "step", counted_step)
+        grid = PeriodicGrid(64)
+        traj = solver.solve(RealField(grid, 1.0 + 0.3 * np.cos(grid.points)), SolverConfig(t_end=0.1))
+        assert not hasattr(traj.records[0], "__dict__")
+        assert np.array(traj.records).shape == (len(dts) + 1, 7)
+        cli.emit_diagnostics_csv(traj, str(tmp_path / "diag.csv"))
+        header = (tmp_path / "diag.csv").read_text().splitlines()[0]
+        assert tuple(header.split(",")) == solver.StepRecord._fields
+
     def test_read_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.csv"
         for text in (

@@ -50,11 +50,20 @@ class TestScalars:
 
 
 class TestEnergyBudget:
-    def test_requires_records(self):
-        from rootflow.solver import Trajectory
-
-        with pytest.raises(ValueError):
-            diagnostics.energy_budget(Trajectory(), 0.0)
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            pytest.param(lambda traj: diagnostics.energy_budget(traj, 0.0), id="energy_budget"),
+            pytest.param(diagnostics.extremum_report, id="extremum_report"),
+        ],
+    )
+    def test_requires_records(self, reader):
+        grid = PeriodicGrid(64)
+        u0 = RealField(grid, 1.0 + 0.3 * np.cos(grid.points))
+        unrecorded = solver.solve(u0, SolverConfig(t_end=0.05), records=False)
+        for traj in (solver.Trajectory(), unrecorded):
+            with pytest.raises(ValueError, match="trajectory has no scalar records"):
+                reader(traj)
 
     def test_budget_on_run(self, cosine_run):
         _, traj = cosine_run
@@ -82,6 +91,13 @@ class TestExtrema:
         min_drift, max_drift = diagnostics.extremum_report(traj)
         assert min_drift >= -1e-9
         assert max_drift <= 1e-9
+
+    def test_drifts_match_rowwise_rule(self, rng):
+        # the column reads give the drifts of the row-by-row rule they replaced, bit for bit
+        traj = solver.Trajectory(records=[solver.StepRecord(*row) for row in rng.uniform(0.5, 2.0, size=(50, 7))])
+        min0, max0 = traj.records[0].min_u, traj.records[0].max_u
+        rowwise = (min(r.min_u - min0 for r in traj.records), max(r.max_u - max0 for r in traj.records))
+        assert diagnostics.extremum_report(traj) == rowwise and rowwise[0] < 0 < rowwise[1]
 
 
 class TestSmoothing:
