@@ -60,12 +60,8 @@ def dissipation(u: RealField, delta: float) -> float:
     At delta > 0 Lu is read off F_x = u_x + iLu, which the next step's
     tendency needs and finds kept; at delta = 0 no tendency needs F_x and
     frac_laplacian gives Lu by one irfft."""
-    if delta > 0:
-        lu = spectral.analytic_signal(u, dx=True).imag
-    else:
-        lu = spectral.frac_laplacian(u).values
-    F = spectral.analytic_signal(u)
-    return float(np.pi * u.grid.dx * np.sum(F.real * dynamics.weight(u, delta) * lu**2))
+    lu = u.F_x.imag if delta > 0 else spectral.frac_laplacian(u).values
+    return float(np.pi * u.grid.dx * np.sum(u.F.real * dynamics.weight(u, delta) * lu**2))
 
 
 def record_columns(traj) -> dict:

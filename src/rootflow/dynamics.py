@@ -29,11 +29,11 @@ from .spectral import RealField
 
 def weight(u: RealField, delta: float) -> np.ndarray:
     """w = 1 / (pi (delta + |F|^2)), computed once per field and delta and
-    kept, read-only, like F itself."""
+    kept, read-only, like u.F itself; it is no attribute, as a field does not
+    know the run's delta."""
     cache = u.__dict__.setdefault("_weight", {})
     if delta not in cache:
-        F = spectral.analytic_signal(u)
-        w = 1.0 / (np.pi * (delta + F.real**2 + F.imag**2))
+        w = 1.0 / (np.pi * (delta + u.F.real**2 + u.F.imag**2))
         w.setflags(write=False)
         cache[delta] = w
     return cache[delta]
@@ -49,15 +49,14 @@ def nonlinear_tendency(u: RealField, delta: float) -> np.ndarray:
     """
     if delta == 0.0:
         return tendency_flux(u)
-    F = spectral.analytic_signal(u)
-    Fx = spectral.analytic_signal(u, dx=True)
+    F, Fx = u.F, u.F_x
     return np.fft.rfft((F.imag * Fx.real - F.real * Fx.imag) * weight(u, delta))
 
 
 def tendency_flux(u: RealField) -> np.ndarray:
     """rfft spectrum of the flux-form tendency -(1/pi) d/dx arg F, where
     arg F = arctan(Hu/u) for positive u; its mean bin is exactly zero."""
-    return np.fft.rfft(np.angle(spectral.analytic_signal(u))) * _flux_multiplier(u.grid)
+    return np.fft.rfft(np.angle(u.F)) * _flux_multiplier(u.grid)
 
 
 @lru_cache(maxsize=32)

@@ -97,9 +97,7 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
 def stable_dt(u: RealField, cfg: SolverConfig) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
     with gamma = Re F w and |V| = |Im F| w read off F and the weight."""
-    F = spectral.analytic_signal(u)
-    w = dynamics.weight(u, cfg.delta)
-    grid = u.grid
+    F, w, grid = u.F, dynamics.weight(u, cfg.delta), u.grid
     return cfg.cfl * min(
         1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
         grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
@@ -147,20 +145,15 @@ def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
         u = mollified_initial(u0, cfg.delta)
     u = _admissible(u, cfg, 0.0, "mollified initial data")
-    traj.snapshots.append((0.0, _snapshot(u)))
+    traj.snapshots.append((0.0, spectral._fresh_field(u.grid, u.values, u.spectrum)))
     if records:
         _append_record(traj, 0.0, 0.0, u, cfg.delta, 0)
     # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
     # the record of non-constant data overflows first and names its fields
-    f_max = float(np.abs(spectral.analytic_signal(u)).max())
+    f_max = float(np.abs(u.F).max())
     if not math.isfinite(cfg.delta + f_max * f_max):
         raise SolverAbort(f"u^2 + (Hu)^2 overflows at t=0, step 0: max |u + iHu| = {f_max:.3e} leaves no dt bound")
     return u
-
-
-def _snapshot(u: RealField) -> RealField:
-    """u's read-only samples and spectrum, not copied, without the F, F_x and w steps read."""
-    return spectral._fresh_field(u.grid, u.values, u.spectrum, {})
 
 
 def _stops(cfg: SolverConfig) -> list:
@@ -206,7 +199,7 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
             steps += 1
             if records:
                 _append_record(traj, t, dt, u, cfg.delta, steps)
-        traj.snapshots.append((stop, _snapshot(u)))
+        traj.snapshots.append((stop, spectral._fresh_field(u.grid, u.values, u.spectrum)))
     return traj
 
 
@@ -251,7 +244,7 @@ def characteristic_snapshots(u0: RealField, cfg: SolverConfig) -> Trajectory:
     grid = u.grid
     a = spectral._one_sided(grid, u.spectrum) / grid.n
     blocks = _taylor_blocks(a)
-    feet = characteristic_feet(blocks, grid.points, times, spectral.analytic_signal(u))
+    feet = characteristic_feet(blocks, grid.points, times, u.F)
     for t, z0 in zip(times, feet):
         values = _taylor(blocks, z0)[0].real
         values += a[0].real - values.mean()
@@ -290,14 +283,15 @@ def characteristic_feet(blocks: np.ndarray, x: np.ndarray, times, F: np.ndarray)
     zeta = zeta0 + s1 * slope
     prev = np.full(x.size, np.inf)  # length of the last Newton step
     iters = np.zeros(x.size)  # Newton steps in the current continuation step
-    cause = np.zeros(x.size, dtype=int)  # why the last failed step failed, an index into MAP_FAILURES
+    cause = np.full(x.size, -1)  # MAP_FAILURES index of why the last finished step failed; -1 if it did not
     feet = np.empty((times.size, x.size), dtype=complex)
     rows = np.arange(x.size)
 
     def lost(j, why):
+        last = f", and its last step failed as {MAP_FAILURES[cause[j]]}" if cause[j] >= 0 else ""
         return SolverAbort(
             f"characteristic foot of x={x[j]:.6g} lost at t={s0[j]:.6g}, short of stop {times[stop[j]]:.6g}: "
-            f"{why}, and its last step failed as {MAP_FAILURES[cause[j]]}"
+            f"{why}{last}"
         )
 
     # a step that divides by zero or overflows is not finite, and is not
@@ -322,7 +316,7 @@ def characteristic_feet(blocks: np.ndarray, x: np.ndarray, times, F: np.ndarray)
             zeta[i], prev[i], iters[i] = new[newton], step[newton], iters[i] + 1
             # a converged step moves its target on, landing on a time or not
             i = rows[done]
-            zeta0[i], s0[i], f0[i] = new[done], s[done], f[done]
+            zeta0[i], s0[i], f0[i], cause[i] = new[done], s[done], f[done], -1
             slope[i] = -1.0 / (np.pi * f[done] * dphi[done])
             h[i] *= 1.5
             i = i[s[done] == times[stop[i]]]

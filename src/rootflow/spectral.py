@@ -86,26 +86,47 @@ class RealField:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def F(self) -> np.ndarray:
+        """The analytic signal F = f + iHf, computed once: the ifft of the
+        one-sided spectrum.  A field built by from_spectrum comes with F,
+        whose real part is its samples bit for bit.  Re F and Im F are f and
+        hilbert(f) to rounding."""
+        F = np.fft.ifft(_one_sided(self.grid, self.spectrum), n=self.grid.n)
+        F.setflags(write=False)
+        return F
+
+    @cached_property
+    def F_x(self) -> np.ndarray:
+        """F's derivative F_x = f_x + iLf, computed once: the ifft of the
+        one-sided spectrum times i|k|.  Re F_x and Im F_x are derivative(f)
+        and frac_laplacian(f) to rounding."""
+        # the Nyquist bin, real in F, turns imaginary, as L keeps it and d/dx zeroes it
+        F_x = np.fft.ifft(_one_sided(self.grid, self.spectrum) * (1j * self.grid.wavenumbers), n=self.grid.n)
+        F_x.setflags(write=False)
+        return F_x
+
 
 def from_spectrum(grid: PeriodicGrid, c: np.ndarray) -> RealField:
     """The field whose rfft is c, which it keeps, read-only, as its spectrum.
     One complex ifft of the one-sided spectrum, zero-padded to length n,
-    gives F = f + iHf, kept for analytic_signal, and the samples Re F; bins 0
+    gives F = f + iHf, kept as the field's F, and the samples Re F; bins 0
     and n/2 lose their imaginary parts, as in irfft.  It is the one inverse
     transform of each field a solver step makes.  The samples come fresh, so
     RealField's copy and finiteness check are skipped: a caller whose c may
     be non-finite checks the samples."""
     F = np.fft.ifft(_one_sided(grid, c), n=grid.n)
-    return _fresh_field(grid, F.real.copy(), c, {False: F})
+    return _fresh_field(grid, F.real.copy(), c, F=F)
 
 
-def _fresh_field(grid: PeriodicGrid, values: np.ndarray, c: np.ndarray, analytic: dict) -> RealField:
-    """A RealField of samples just computed from c, keeping c and any
-    analytic signals, all read-only, without RealField's copy and check."""
+def _fresh_field(grid: PeriodicGrid, values: np.ndarray, c: np.ndarray, **kept) -> RealField:
+    """A RealField of samples just computed from c, keeping c and any arrays
+    passed by attribute name (F=...), all read-only, without RealField's copy
+    and check."""
     f = object.__new__(RealField)
-    for a in (values, c, *analytic.values()):
+    for a in (values, c, *kept.values()):
         a.setflags(write=False)
-    f.__dict__.update(grid=grid, values=values, spectrum=c, _analytic=analytic)
+    f.__dict__.update(grid=grid, values=values, spectrum=c, **kept)
     return f
 
 
@@ -129,9 +150,9 @@ def _analytic_weights(grid: PeriodicGrid) -> np.ndarray:
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
     """The field whose spectrum is f.spectrum * mult, by one irfft; it builds
-    no F, which analytic_signal makes only if a caller asks."""
+    no F, which f.F forms only when read."""
     c = f.spectrum * mult
-    return _fresh_field(f.grid, np.fft.irfft(c, n=f.grid.n), c, {})
+    return _fresh_field(f.grid, np.fft.irfft(c, n=f.grid.n), c)
 
 
 def hilbert(f: RealField) -> RealField:
@@ -235,22 +256,3 @@ def check_same_grid(*fields):
     grids = {f.grid.n for f in fields}
     if len(grids) != 1:
         raise GridMismatchError(f"fields live on different grids: {sorted(grids)}")
-
-
-def analytic_signal(f: RealField, dx: bool = False) -> np.ndarray:
-    """F = f + iHf, or with dx its derivative F_x = f_x + iLf, computed once
-    per field and kept: the ifft of f's one-sided spectrum, times i|k| with
-    dx.  A field built by from_spectrum comes with F, whose real part is its
-    samples bit for bit.  Re F, Im F, Re F_x and Im F_x are f, hilbert(f),
-    derivative(f) and frac_laplacian(f) to rounding."""
-    cache = f.__dict__.setdefault("_analytic", {})
-    if dx not in cache:
-        spec = _one_sided(f.grid, f.spectrum)
-        if dx:
-            # F_x = i|k| F; the Nyquist bin, real in F, turns imaginary, as L
-            # keeps it and d/dx zeroes it
-            spec *= 1j * f.grid.wavenumbers
-        F = np.fft.ifft(spec, n=f.grid.n)
-        F.setflags(write=False)
-        cache[dx] = F
-    return cache[dx]

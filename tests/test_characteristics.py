@@ -3,6 +3,7 @@ Heun solver, and the reference `roots-compare` reads."""
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -159,6 +160,35 @@ def test_lost_foot_aborts():
     _, u0 = bump_case(64, "initial.bump_floor=1e-4")
     with pytest.raises(SolverAbort, match=r"characteristic foot of x=\S+ lost at t=\S+, short of stop 0\.95: "):
         solver.characteristic_snapshots(u0, SolverConfig(t_end=0.95, pos_floor=5e-5))
+
+
+LOST = r"characteristic foot of x=\S+ lost at t=\S+, short of stop "
+
+
+@pytest.mark.parametrize(
+    "n, floor, t_end, evals, message",
+    [
+        # the first target has finished no step when two evaluations run out
+        pytest.param(
+            256, 5e-3, 0.3, 2,
+            r"characteristic foot of x=0 lost at t=0, short of stop 0\.3: it spent 2 evaluations of F0",
+            id="no-step",
+        ),
+        # steps of the target lost here failed, but its last finished step converged
+        pytest.param(256, 5e-3, 0.3, 20, LOST + r"0\.3: it spent 20 evaluations of F0", id="converged"),
+        pytest.param(
+            64, 1e-4, 0.95, 8,
+            LOST + r"0\.95: it spent 8 evaluations of F0, and its last step failed as a Newton step did not shrink",
+            id="failed",
+        ),
+    ],
+)
+def test_evaluation_budget_abort_names_only_a_failed_step(monkeypatch, n, floor, t_end, evals, message):
+    _, u0 = bump_case(n, f"initial.bump_floor={floor}")
+    monkeypatch.setattr(solver, "MAP_MAX_EVALS", evals)
+    with pytest.raises(SolverAbort) as exc:
+        solver.characteristic_snapshots(u0, SolverConfig(t_end=t_end, pos_floor=floor / 2))
+    assert re.fullmatch(message, str(exc.value))
 
 
 def snapshot_mass_drift(out):

@@ -142,6 +142,31 @@ class TestCsvFormats:
             with pytest.raises(ValueError):
                 cli.read_snapshot_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# n=x times=0\n0,1\n", "malformed snapshot header"),
+            ("# n=3 times=0\n0,1\n1,2\n", r"expected 3 rows x 2 columns, got \(2, 2\)"),
+        ],
+    )
+    def test_read_names_the_fault(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            cli.read_snapshot_csv(str(p))
+
+    @pytest.mark.parametrize("text, error", [(None, TypeError), ("one\n", OSError)], ids=["write", "replace"])
+    def test_atomic_write_failure_leaves_no_temporary(self, tmp_path, monkeypatch, text, error):
+        # the error reaches the caller and no temporary file stays: a text
+        # file refuses to write None, and os.replace is made to fail
+        def refused(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refused)
+        with pytest.raises(error):
+            cli.atomic_write(str(tmp_path / "f.txt"), text)
+        assert list(tmp_path.iterdir()) == []
+
     def test_atomic_write_replaces(self, tmp_path):
         p = tmp_path / "f.txt"
         cli.atomic_write(str(p), "one\n")
@@ -164,6 +189,13 @@ class TestInitialData:
         grid = u0.grid
         floor_mass = 2.0 * np.pi * cfg["initial"]["bump_floor"]
         assert grid.dx * np.sum(u0.values) == pytest.approx(1.0 + floor_mass, rel=1e-10)
+
+    def test_unknown_kind(self):
+        # the schema rejects it when parsed; a hand-built config reaches build_initial
+        cfg = cli.default_config()
+        cfg["initial"]["kind"] = "spiral"
+        with pytest.raises(ConfigError, match="unknown initial kind 'spiral'"):
+            cli.build_initial(cfg)
 
     def test_constant_and_cosine(self):
         cfg = cli.parse_config("[grid]\nn = 64\n[initial]\nkind = constant\nc0 = 2.0\n")
@@ -520,6 +552,21 @@ class TestMain:
         )
         assert rc == 0
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # set-up time in the benchmark is mostly imports: a new third-party
+    # import shows here before it shows there; .pth files load modules
+    # before the import, so only what the import adds is checked
+    code = (
+        "import sys; before = set(sys.modules); import rootflow.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rootflow.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "rootflow"} <= loaded
+    assert loaded - sys.stdlib_module_names <= {"numpy", "rootflow"}
 
 
 @st.composite

@@ -22,7 +22,7 @@ def samples(u, spec):
 
 def gamma_and_v(u, delta):
     """The dissipation weight gamma = Re F w and velocity V = -Im F w."""
-    F, w = spectral.analytic_signal(u), dynamics.weight(u, delta)
+    F, w = u.F, dynamics.weight(u, delta)
     return F.real * w, -F.imag * w
 
 

@@ -88,6 +88,8 @@ class TestEnsemble:
             RootEnsemble(np.array([0.0, 0.0]), n0=2)
         with pytest.raises(ValueError):
             RootEnsemble(np.array([0.0, 1.0]), n0=3)
+        with pytest.raises(ValueError, match="at least one root"):
+            RootEnsemble([], n0=0)
         e = RootEnsemble(np.array([0.0, 1.0]), n0=2)
         assert len(e) == 2 and e.span == 1.0
 
@@ -218,6 +220,9 @@ class TestDerivativeRoots:
     def test_rejects_degenerate(self):
         e = RootEnsemble(np.array([0.0]), n0=1)
         with pytest.raises(ValueError):
+            roots.derivative_roots(e)
+        e = RootEnsemble(np.array([0.0, 1.0, 1.0 + 0.5 * roots.MIN_ROOT_GAP]), n0=3)
+        with pytest.raises(ValueError, match="repeated roots"):
             roots.derivative_roots(e)
 
     def test_sum_rule(self):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rootflow import dynamics, solver, spectral
+from rootflow import cli, dynamics, solver, spectral
 from rootflow.solver import SolverAbort, SolverConfig, StepLimitAbort
 from rootflow.spectral import PeriodicGrid, RealField
+
+from conftest import run_cli
 
 
 def cosine_datum(grid, c0=1.0, amp=0.3):
@@ -198,8 +200,8 @@ class TestSolve:
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(name))
         for _, u in traj.snapshots:
-            assert "_weight" not in u.__dict__
-            assert np.array_equal(spectral.analytic_signal(u).real, u.values)
+            assert not {"F", "F_x", "_weight"} & vars(u).keys()
+            assert np.array_equal(u.F.real, u.values)
         assert calls == ["ifft"] * len(traj.snapshots)
 
     def test_step_limit(self):
@@ -386,6 +388,15 @@ class TestContinuation:
         else:
             with pytest.raises(ValueError, match="disagree on snapshot times"):
                 solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.1, cfg)
+
+    def test_non_finite_distance_aborts(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(solver, "snapshot_distances", lambda *args: [np.nan])
+        u0 = cosine_datum(PeriodicGrid(64))
+        with pytest.raises(SolverAbort, match="non-finite continuation distance at delta=0.02"):
+            solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.05, SolverConfig())
+        rc, err = run_cli("sweep-delta", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.05")
+        assert rc == cli.EXIT_CODES["abort"]
+        assert err.startswith("run aborted: non-finite continuation distance at delta=")
 
 
 class TestRoughData:

@@ -121,6 +121,10 @@ class TestKernelForm:
         scale = max(1.0, np.abs(mult).max())
         assert np.abs(kern - mult).max() / scale < 1e-4
 
+    def test_kernel_needs_two_nodes(self, grid, rng):
+        with pytest.raises(ValueError, match="at least 2 quadrature nodes"):
+            spectral.frac_laplacian_kernel(band_limited_field(grid, rng), 1)
+
     def test_kernel_converges_in_m(self, rng):
         grid = PeriodicGrid(64)
         f = band_limited_field(grid, rng)
@@ -168,8 +172,7 @@ class TestNorms:
 class TestAnalyticSignal:
     def test_parts_match_the_multipliers(self, grid, rng):
         f = RealField(grid, rng.normal(size=grid.n))
-        F = spectral.analytic_signal(f)
-        Fx = spectral.analytic_signal(f, dx=True)
+        F, Fx = f.F, f.F_x
         pairs = [
             (F.real, f.values),
             (F.imag, spectral.hilbert(f).values),
@@ -191,16 +194,14 @@ class TestAnalyticSignal:
         f = spectral.from_spectrum(grid, c)
         scale = np.abs(f.values).max()
         assert np.abs(f.values - np.fft.irfft(c, n)).max() <= 1e-15 * scale
-        F = spectral.analytic_signal(f)
+        F = f.F
         assert np.array_equal(F.real, f.values)
         hf = spectral.hilbert(RealField(grid, f.values)).values
         assert np.abs(F.imag - hf).max() <= 1e-13 * scale
 
     def test_computed_once_per_field(self, grid, rng):
         f = band_limited_field(grid, rng)
-        for dx in (False, True):
-            F = spectral.analytic_signal(f, dx)
-            assert spectral.analytic_signal(f, dx) is F
+        assert f.F is f.F and f.F_x is f.F_x
 
 
 def test_check_same_grid(grid):
