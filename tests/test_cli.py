@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rootflow
@@ -33,6 +33,15 @@ FLOAT_KEYS = {
     for key, (parse, *_rest) in keys.items()
     if _float_kind(parse)
 }
+
+
+# a rough run whose log-log slope lies between the bounds with and without the slack
+SMOOTHING_SETS = [
+    "grid.n=64", "initial.kind=rough", "solver.t_end=3", "smoothing.t_min=0.1", "smoothing.s=0.5",
+    "smoothing.num_snapshots=4",
+]
+# a stability run whose growths differ from gap to gap
+BUMP_STABILITY_SETS = ["grid.n=64", "initial.kind=bump", "solver.t_end=0.3"]
 
 
 class TestConfigParsing:
@@ -464,6 +473,130 @@ class TestMain:
         assert rc == cli.EXIT_CODES[code]
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for key in (
+                "smoothing.eps0", "smoothing.slack", "stability.g_max", "stability.linearity_tol", "roots.w1_max"
+            )
+            for value in ("1", "nan", "inf")
+        ],
+    )
+    def test_bound_is_not_a_setting(self, tmp_path, capsys, key, value):
+        # a check's bound is a constant of the command, so no value of the
+        # former settings is accepted: a config cannot loosen a check
+        rc = self.run("solve", "--out", str(tmp_path), "--set", "grid.n=64", "--set", f"{key}={value}")
+        assert rc == cli.EXIT_CODES["config"]
+        assert capsys.readouterr().err == f"error: unknown key {key}\n"
+
+    @pytest.mark.parametrize(
+        "bound, command, sets, row, failing, code",
+        [
+            pytest.param(
+                "ENERGY_BOUND", "solve", ["grid.n=64", "solver.t_end=0.1"], "energy_bound_ratio",
+                lambda ratio: np.nextafter(ratio, 0.0), "energy", id="ENERGY_BOUND",
+            ),
+            # slope -0.707: the slack lowers the bound from -0.6 to -0.75, so
+            # the run passes with it and fails without it
+            pytest.param(
+                "SMOOTHING_SLACK", "smoothing", SMOOTHING_SETS, "loglog_slope", lambda slope: 0.0, "smoothing",
+                id="SMOOTHING_SLACK",
+            ),
+            pytest.param(
+                "SMOOTHING_EPS0", "smoothing", SMOOTHING_SETS, "loglog_slope",
+                lambda slope: -slope / (1.0 + cli.SMOOTHING_SLACK) - 0.5 - 1e-9,  # smoothing.s = 0.5
+                "smoothing", id="SMOOTHING_EPS0",
+            ),
+            # the growth must stay below the bound, so equality fails
+            pytest.param(
+                "STABILITY_G_MAX", "stability", BUMP_STABILITY_SETS, "growth_below_bound_gap_0.001",
+                lambda growth: growth, "stability", id="STABILITY_G_MAX",
+            ),
+            pytest.param(
+                "STABILITY_LINEARITY_TOL", "stability", BUMP_STABILITY_SETS, "growth_linearity_spread",
+                lambda spread: np.nextafter(spread, 0.0), "stability", id="STABILITY_LINEARITY_TOL",
+            ),
+            pytest.param(
+                "ROOTS_W1_MAX", "roots-compare", ["grid.n=256", "roots.counts=40,80"], "w1_finite_and_small_n_40",
+                lambda w1: w1, "roots", id="ROOTS_W1_MAX",
+            ),
+        ],
+    )
+    def test_bound_decides_exit_code(self, tmp_path, capsys, monkeypatch, bound, command, sets, row, failing, code):
+        # a run that passes fails its check, with the command's own exit code,
+        # once the bound is moved just past the value the run measured
+        def summary_row(out):
+            argv = (arg for kv in sets for arg in ("--set", kv))
+            rc = self.run(command, "--out", str(out), *argv)
+            with open(out / "summary.csv", newline="") as f:
+                return rc, next(r for r in csv.DictReader(f) if r["check"] == row)
+
+        rc, measured = summary_row(tmp_path / "default")
+        assert rc == 0 and measured["status"] == "PASS"
+        monkeypatch.setattr(cli, bound, failing(float(measured["value"])))
+        rc, moved = summary_row(tmp_path / "moved")
+        assert rc == cli.EXIT_CODES[code]
+        assert moved["status"] == "FAIL" and moved["value"] == measured["value"]
+
+    @pytest.mark.parametrize(
+        "command, key, names",
+        [
+            pytest.param(
+                "sweep-delta", "sweep.deltas",
+                [f"{kind}_delta_{d}.csv" for kind in ("diagnostics", "snapshots")
+                 for d in ("0.001", "0.0010000001", "0.0010000002")],
+                id="sweep-delta-files",
+            ),
+            pytest.param(
+                "stability", "stability.gaps",
+                [f"{row}_{g}" for g in ("0.0010000002", "0.0010000001", "0.001")
+                 for row in ("growth_gap", "growth_below_bound_gap")],
+                id="stability-rows",
+            ),
+        ],
+    )
+    def test_close_values_name_distinct_outputs(self, tmp_path, capsys, command, key, names):
+        # the three values agree to 6 significant digits; each member keeps
+        # its own files and summary rows, named by the value's repr
+        self.run(
+            command, "--out", str(tmp_path), "--set", "grid.n=16", "--set", "solver.t_end=0.01",
+            "--set", f"{key}=1.0000002e-3,1.0000001e-3,1e-3",
+        )
+        with open(tmp_path / "summary.csv", newline="") as f:
+            rows = [r["check"] for r in csv.DictReader(f)]
+        assert set(names) <= set(os.listdir(tmp_path)) | set(rows)
+
+    @pytest.mark.parametrize("option", ["--out", "--config"])
+    def test_null_byte_in_path(self, tmp_path, capsys, option):
+        # no path with a null byte in it can be opened or made; the last
+        # --out given is the one used
+        rc = self.run(
+            "check-operators", "--out", str(tmp_path), "--set", "grid.n=16", option, str(tmp_path / "a\x00b")
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        assert capsys.readouterr().err == "error: embedded null byte\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(b"\xff[grid]\nn = 16\n", "can't decode byte 0xff", id="not-utf8"),
+            pytest.param(b"[initial]\nkind = cos%ine\n", "initial.kind: 'cos%ine' (must be", id="percent"),
+            pytest.param(b"[initial]\nkind = %(x)s\n", "initial.kind: '%(x)s' (must be", id="interpolation"),
+            pytest.param(b"[DEFAULT]\nbogus = 1\n", "unknown config section [DEFAULT]", id="default-unknown-key"),
+            pytest.param(b"[DEFAULT]\nn = 32\n[grid]\n", "unknown config section [DEFAULT]", id="default-known-key"),
+        ],
+    )
+    def test_config_file_refused(self, tmp_path, capsys, text, message):
+        # a config file is UTF-8 text, a value is the text after `=`, and
+        # [DEFAULT] is a section like any other
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        rc = self.run("check-operators", "--config", str(cfg), "--out", str(tmp_path / "out"), "--set", "grid.n=16")
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_step_limit_exit(self, tmp_path):
         # dt shrinks with the datum, so this one would need about 1e11 steps;
         # in a child process, so that a missed limit fails at the timeout
@@ -605,4 +738,36 @@ def test_command_ends_cleanly(command, sets):
     with tempfile.TemporaryDirectory() as out:
         argv = [a for key, value in sets.items() for a in ("--set", f"{key}={value}")]
         rc, err = run_cli(command, "--out", out, *argv)
+        assert_ends_cleanly(rc, err, out)
+
+
+@st.composite
+def config_files(draw):
+    """The bytes of a config file: sections named from the schema, DEFAULT or
+    arbitrary text, keys from the schema or arbitrary text, values of
+    arbitrary text rich in `%`, `[` and `#`; one draw in eight is raw bytes."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=64))
+    text = st.text(st.characters(codec="utf-8"), max_size=8)
+    names = st.sampled_from([*cli.SCHEMA, "DEFAULT"]) | text
+    keys = st.sampled_from(sorted({key for keys in cli.SCHEMA.values() for key in keys})) | text
+    values = st.text(st.sampled_from("%[#") | st.characters(codec="utf-8"), max_size=12)
+    lines = []
+    for section in draw(st.lists(names, max_size=3)):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in draw(st.lists(st.tuples(keys, values), max_size=3))]
+    return "\n".join(lines).encode()
+
+
+@given(data=config_files())
+@example(data=b"\xff[grid]\nn = 16\n")
+@example(data=b"[DEFAULT]\nx = %\n[grid]\n")
+@settings(max_examples=100, deadline=None)
+def test_config_file_ends_cleanly(data):
+    # any file given to --config is read, or refused with `error:` and exit 1
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.cfg")
+        with open(path, "wb") as f:
+            f.write(data)
+        rc, err = run_cli("check-operators", "--config", path, "--out", out, "--set", "grid.n=16")
         assert_ends_cleanly(rc, err, out)
