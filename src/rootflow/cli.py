@@ -121,10 +121,20 @@ SCHEMA = {
         "num_snapshots": (int, 16, lambda v: v >= 3, ">= 3"),
     },
     "stability": {
-        "gaps": (_list_of(float), (1e-3, 5e-4, 2.5e-4), lambda v: len(v) > 0 and min(v) > 0, "non-empty, > 0"),
+        "gaps": (
+            _list_of(float),
+            (1e-3, 5e-4, 2.5e-4),
+            lambda v: len(v) > 0 and min(v) > 0 and len(set(v)) == len(v),
+            "non-empty, > 0 and distinct",
+        ),
     },
     "roots": {
-        "counts": (_list_of(int), (100, 200, 400), lambda v: len(v) > 0 and min(v) >= 2, "non-empty, >= 2"),
+        "counts": (
+            _list_of(int),
+            (100, 200, 400),
+            lambda v: len(v) > 0 and min(v) >= 2 and all(b > a for a, b in zip(v, v[1:])),
+            "non-empty, >= 2 and strictly increasing",
+        ),
         "t": (float, 0.3, lambda v: 0 <= v < 1, "in [0, 1)"),
     },
 }
@@ -364,17 +374,29 @@ def cmd_solve(cfg, out):
 
 
 def cmd_sweep_delta(cfg, out):
-    scfg = solver_config(cfg)
+    members = [(d, solver_config(cfg, delta=d)) for d in cfg["sweep"]["deltas"]]  # bad settings, then a bad datum
     u0 = build_initial(cfg)
-    runs, dists = solver.delta_continuation(u0, cfg["sweep"]["deltas"], scfg.t_end, scfg)
+    runs = []
+    for d, scfg in members:
+        try:
+            runs.append((d, solver.solve(u0, scfg)))
+        except SolverAbort as exc:
+            raise type(exc)(f"continuation member delta={d!r} failed: {exc}") from exc
     summary = Summary()
-    for (d, traj) in runs:
+    h12s = []
+    for i, ((_, ta), (db, tb)) in enumerate(zip(runs, runs[1:])):
+        # both norms of one difference field per snapshot, then each one's sup over the snapshots
+        dists = diagnostics.snapshot_distances(ta, tb, lambda f: (spectral.sobolev_seminorm(f, 0.5), spectral.l2_norm(f)))
+        h12, l2 = map(max, zip(*dists))
+        if not (np.isfinite(h12) and np.isfinite(l2)):
+            raise SolverAbort(f"non-finite continuation distance at delta={db!r}")
+        summary.note(f"h12_distance_{i}", h12)
+        summary.note(f"l2_distance_{i}", l2)
+        h12s.append(h12)
+    for d, traj in runs:  # only once every member is solved and measured, so an aborted sweep writes none
         write_snapshot_csv(traj, os.path.join(out, f"snapshots_delta_{d!r}.csv"))
         emit_diagnostics_csv(traj, os.path.join(out, f"diagnostics_delta_{d!r}.csv"))
-    for i, dist in enumerate(dists):
-        summary.note(f"h12_distance_{i}", dist["h12"])
-        summary.note(f"l2_distance_{i}", dist["l2"])
-    decreasing = all(b["h12"] < a["h12"] for a, b in zip(dists, dists[1:]))
+    decreasing = all(b < a for a, b in zip(h12s, h12s[1:]))
     summary.check("continuation", "h12_distances_decreasing", float(decreasing), 1.0, decreasing)
     return summary
 
@@ -409,6 +431,8 @@ def cmd_smoothing(cfg, out):
 
 def cmd_stability(cfg, out):
     t_end = cfg["solver"]["t_end"]
+    if t_end == 0.0:  # the t = 0 snapshot alone makes every growth 1
+        raise ConfigError("stability needs solver.t_end > 0: at t_end = 0 it has no growth to measure")
     snaps = tuple(np.linspace(0.0, t_end, 11)[1:])
     scfg = solver_config(cfg, snapshot_times=snaps)
     u0 = build_initial(cfg)
@@ -418,12 +442,12 @@ def cmd_stability(cfg, out):
     for gap in cfg["stability"]["gaps"]:
         pert = RealField(u0.grid, u0.values + gap * np.cos(u0.grid.points))
         if pert.min() <= 0:
-            raise ConfigError(f"stability gap {gap:g} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
+            raise ConfigError(f"stability gap {gap!r} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
         traj = solver.solve(pert, scfg, records=False)
         rep = diagnostics.stability_compare(base, traj)
         if rep.distances[0] == 0.0:  # no growth to measure, and none to divide by
             raise ConfigError(
-                f"stability gap {gap:g} is lost in rounding: the perturbed datum equals u0 (max u0 = {u0.max():.3e})"
+                f"stability gap {gap!r} is lost in rounding: the perturbed datum equals u0 (max u0 = {u0.max():.3e})"
             )
         growths.append(rep.growth)
         summary.note(f"growth_gap_{gap!r}", rep.growth)

@@ -49,10 +49,6 @@ class RootEnsemble:
     def __len__(self):
         return self.roots.size
 
-    @property
-    def span(self) -> float:
-        return float(self.roots[-1] - self.roots[0])
-
 
 def _cdf(x: np.ndarray, density: np.ndarray) -> np.ndarray:
     """Trapezoid CDF of a nonnegative density table, normalized to end at 1."""

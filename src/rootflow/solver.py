@@ -8,13 +8,13 @@ delta = 0.  The stages are sums of the spectra the fields keep.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, spectral
-from .diagnostics import dissipation, mass, snapshot_distances
+from .diagnostics import dissipation, mass
 from .spectral import PeriodicGrid, RealField
 
 
@@ -384,35 +384,6 @@ def _taylor(blocks: np.ndarray, z: np.ndarray):
             acc *= zq[:, None]
             acc += partial[:, :, b]
     return out[:, 0], out[:, 1]
-
-
-def delta_continuation(u0: RealField, deltas, t_end: float, cfg: SolverConfig):
-    """Run solve for each delta in a strictly decreasing list and report the
-    sup-over-snapshots H^{1/2} and L2 distances between consecutive members.
-
-    Returns (runs, distances) where runs is a list of (delta, Trajectory)
-    and distances a list of dicts with keys 'h12' and 'l2'.
-    """
-    deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise ValueError("continuation deltas must be positive")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("continuation deltas must be strictly decreasing")
-    runs = []
-    for d in deltas:
-        run_cfg = replace(cfg, delta=d, t_end=t_end)
-        try:
-            runs.append((d, solve(u0, run_cfg)))
-        except SolverAbort as exc:
-            raise type(exc)(f"continuation member delta={d:g} failed: {exc}") from exc
-    distances = []
-    for (da, ta), (db, tb) in zip(runs, runs[1:]):
-        d_h12 = max(snapshot_distances(ta, tb, lambda d: spectral.sobolev_seminorm(d, 0.5)))
-        d_l2 = max(snapshot_distances(ta, tb, spectral.l2_norm))
-        if not (np.isfinite(d_h12) and np.isfinite(d_l2)):
-            raise SolverAbort(f"non-finite continuation distance at delta={db:g}")
-        distances.append({"h12": d_h12, "l2": d_l2})
-    return runs, distances
 
 
 def rough_initial_data(

@@ -23,10 +23,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
-class GridMismatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Equispaced grid x_j = 2 pi j / n on [0, 2pi)."""
@@ -250,9 +246,3 @@ def _seminorm_weights(grid: PeriodicGrid, s: float) -> np.ndarray:
 
 def l2_norm(f: RealField) -> float:
     return float(np.sqrt(f.grid.dx * np.sum(f.values**2)))
-
-
-def check_same_grid(*fields):
-    grids = {f.grid.n for f in fields}
-    if len(grids) != 1:
-        raise GridMismatchError(f"fields live on different grids: {sorted(grids)}")

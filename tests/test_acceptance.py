@@ -6,6 +6,7 @@ its stated tolerance; see the README for the one criterion whose sup-location
 clause is expected to fail for spectrum-law initial data.
 """
 
+import csv
 import sys
 
 import numpy as np
@@ -179,17 +180,19 @@ def test_c09_temporal_order():
     assert report(9, "temporal_order_richardson", order >= 1.9, f"order={order:.3f}")
 
 
-def test_c10_delta_continuation():
+def test_c10_delta_continuation(tmp_path):
     # smooth datum: for spectrum-law rough data the t=0 snapshot distance
-    # is dominated by the mollifier gap, which decays only like delta^eta
-    grid = PeriodicGrid(256)
-    u0 = RealField(grid, 1.0 + 0.3 * np.cos(grid.points))
-    cfg = SolverConfig(cfl=0.4, snapshot_times=(0.25, 0.5, 0.75))
-    _, dists = solver.delta_continuation(
-        u0, [1e-2, 5e-3, 2.5e-3, 1.25e-3], 1.0, cfg
-    )
-    h12 = [d["h12"] for d in dists]
-    ok = all(np.isfinite(h12)) and all(b < a for a, b in zip(h12, h12[1:]))
+    # is dominated by the mollifier gap, which decays only like delta^eta;
+    # the sweep is the default one, deltas 1e-2, 5e-3, 2.5e-3 and 1.25e-3
+    rc = cli.main([
+        "sweep-delta", "--out", str(tmp_path),
+        "--set", "grid.n=256",
+        "--set", "solver.snapshot_times=0.25,0.5,0.75",
+    ])
+    with open(tmp_path / "summary.csv", newline="") as f:
+        rows = {row["check"]: float(row["value"]) for row in csv.DictReader(f)}
+    h12 = [rows[f"h12_distance_{i}"] for i in range(3)]
+    ok = rc == 0 and all(np.isfinite(h12)) and all(b < a for a, b in zip(h12, h12[1:]))
     assert report(
         10, "delta_continuation_cauchy", ok,
         "h12_dists=" + ",".join(f"{d:.2e}" for d in h12),

@@ -302,6 +302,12 @@ class TestMain:
             ("stability", "stability.gaps=0"),
             ("solve", "initial.amplitude=1"),
             ("stability", "stability.gaps=1"),
+            # W1 is judged in count order, and a repeated count or gap writes its rows twice
+            ("roots-compare", "roots.counts=40,20"),
+            ("roots-compare", "roots.counts=20,20"),
+            ("stability", "stability.gaps=1e-3,1e-3"),
+            # the t = 0 snapshot alone makes every growth 1
+            ("stability", "solver.t_end=0"),
             ("roots-compare", "initial.bump_floor=1e300"),
             ("roots-compare", "initial.bump_halfwidth=3.0"),
             pytest.param("solve", "initial.kind=rough initial.eta=1060", id="solve-rough-initial.eta=1060"),
@@ -337,6 +343,29 @@ class TestMain:
         assert "error: stability gap 0.001 is lost in rounding" in err
         assert "Traceback" not in err
         assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            pytest.param(
+                ["stability.gaps=1.0000002"], "error: stability gap 1.0000002 leaves the perturbed datum non-positive",
+                id="non-positive",
+            ),
+            pytest.param(
+                ["stability.gaps=1.0000002e-3", "initial.c0=1e20"],
+                "error: stability gap 0.0010000002 is lost in rounding",
+                id="lost-in-rounding",
+            ),
+        ],
+    )
+    def test_stability_gap_named_by_repr(self, tmp_path, capsys, sets, message):
+        # a gap is named in its config errors as in its summary rows
+        rc = self.run(
+            "stability", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            *(arg for kv in sets for arg in ("--set", kv)),
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        assert capsys.readouterr().err.startswith(message)
 
     @pytest.mark.parametrize(
         "key, value",

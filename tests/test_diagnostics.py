@@ -137,3 +137,13 @@ class TestStability:
         other = solver.solve(u0, SolverConfig(t_end=0.5, cfl=0.4))
         with pytest.raises(ValueError):
             diagnostics.stability_compare(traj, other)
+
+
+def test_snapshot_distances_grid_mismatch():
+    # runs pair snapshot by snapshot on one grid: equal times on two grids are refused
+    coarse, fine = PeriodicGrid(64), PeriodicGrid(128)
+    a = solver.Trajectory([(0.0, RealField(coarse, np.ones(64)))])
+    b = solver.Trajectory([(0.0, RealField(fine, np.ones(128)))])
+    assert diagnostics.snapshot_distances(a, a, spectral.l2_norm) == [0.0]
+    with pytest.raises(ValueError, match="snapshots at t=0 live on different grids: n=64 and n=128"):
+        diagnostics.snapshot_distances(a, b, spectral.l2_norm)

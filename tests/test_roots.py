@@ -91,7 +91,7 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="at least one root"):
             RootEnsemble([], n0=0)
         e = RootEnsemble(np.array([0.0, 1.0]), n0=2)
-        assert len(e) == 2 and e.span == 1.0
+        assert len(e) == 2 and np.array_equal(e.roots, [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_roots(self, bad):
@@ -268,7 +268,7 @@ class TestRootFlow:
         rng = np.random.default_rng(2)
         e = RootEnsemble(np.sort(rng.uniform(-1, 1, 40)), n0=40)
         out = roots.root_flow(e, 0.5)
-        assert out.span < e.span
+        assert np.ptp(out.roots) < np.ptp(e.roots)
 
     def test_rejects_bad_time(self):
         e = RootEnsemble(np.array([-1.0, 1.0]), n0=2)

@@ -1,7 +1,11 @@
+import csv
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rootflow import cli, dynamics, solver, spectral
+from rootflow import cli, diagnostics, dynamics, solver, spectral
 from rootflow.solver import SolverAbort, SolverConfig, StepLimitAbort
 from rootflow.spectral import PeriodicGrid, RealField
 
@@ -204,7 +208,7 @@ class TestSolve:
             assert np.array_equal(u.F.real, u.values)
         assert calls == ["ifft"] * len(traj.snapshots)
 
-    def test_step_limit(self):
+    def test_step_limit(self, tmp_path):
         grid = PeriodicGrid(64)
         u0 = cosine_datum(grid)
         steps = len(solver.solve(u0, SolverConfig(t_end=0.1)).records) - 1
@@ -213,8 +217,12 @@ class TestSolve:
             assert traj.times == [0.0, 0.1] and len(traj.records) == (steps + 1 if records else 0)
             with pytest.raises(StepLimitAbort, match=f"step limit {steps - 1} reached at t=.*, step {steps - 1}"):
                 solver.solve(u0, SolverConfig(t_end=0.1, max_steps=steps - 1), records=records)
-        with pytest.raises(StepLimitAbort, match="continuation member delta=0.01 failed: step limit 1 "):
-            solver.delta_continuation(u0, [1e-2, 5e-3], 0.1, SolverConfig(max_steps=1))
+        rc, err = run_cli(
+            "sweep-delta", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", "solver.max_steps=1",
+        )
+        assert rc == cli.EXIT_CODES["max_steps"]
+        assert err.startswith("run aborted: continuation member delta=0.01 failed: step limit 1 ")
 
     @pytest.mark.parametrize("records", [True, False])
     def test_overflowing_scale_aborts(self, records):
@@ -349,54 +357,60 @@ class TestManufactured:
 
 
 class TestContinuation:
-    def test_validation(self):
-        grid = PeriodicGrid(64)
-        u0 = cosine_datum(grid)
-        with pytest.raises(ValueError):
-            solver.delta_continuation(u0, [1e-2, 1e-2], 0.1, SolverConfig())
-        with pytest.raises(ValueError):
-            solver.delta_continuation(u0, [1e-2, -1e-3], 0.1, SolverConfig())
+    """sweep-delta through cli.main: members at decreasing deltas, paired by
+    diagnostics.snapshot_distances."""
 
-    def test_distances_shrink(self):
-        grid = PeriodicGrid(128)
-        u0 = cosine_datum(grid)
-        cfg = SolverConfig(cfl=0.4, snapshot_times=(0.1, 0.2))
-        runs, dists = solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.2, cfg)
-        assert len(runs) == 3 and len(dists) == 2
-        assert dists[1]["h12"] < dists[0]["h12"]
-        assert dists[1]["l2"] < dists[0]["l2"]
+    @staticmethod
+    def sweep(out, *sets):
+        return run_cli("sweep-delta", "--out", str(out), *(arg for kv in sets for arg in ("--set", kv)))
+
+    def test_validation(self):
+        for deltas in ("1e-2,1e-2,5e-3", "1e-2,5e-3,-1e-3"):  # not strictly decreasing, not positive
+            with pytest.raises(cli.ConfigError, match="constraint violation for sweep.deltas"):
+                cli.apply_overrides(cli.default_config(), [f"sweep.deltas={deltas}"])
+
+    def test_distances_shrink(self, tmp_path):
+        rc, _ = self.sweep(
+            tmp_path, "grid.n=128", "solver.t_end=0.2", "solver.snapshot_times=0.1,0.2", "sweep.deltas=4e-2,2e-2,1e-2"
+        )
+        assert rc == 0
+        for d in ("0.04", "0.02", "0.01"):
+            assert (tmp_path / f"snapshots_delta_{d}.csv").exists()
+        with open(tmp_path / "summary.csv", newline="") as f:
+            rows = {row["check"]: float(row["value"]) for row in csv.DictReader(f)}
+        assert "h12_distance_2" not in rows
+        assert rows["h12_distance_1"] < rows["h12_distance_0"]
+        assert rows["l2_distance_1"] < rows["l2_distance_0"]
 
     @pytest.mark.parametrize("shift, agree", [(1e-9, False), (1e-14, True)])
-    def test_snapshot_times_must_agree(self, monkeypatch, shift, agree):
-        # members pair snapshot by snapshot under the rule stability_compare
-        # uses: times agree to 1e-12
-        solve = solver.solve
-
-        def shifted_solve(u0, cfg):
-            traj = solve(u0, cfg)
-            if cfg.delta < 2e-2:
-                t, u = traj.snapshots[1]
-                traj.snapshots[1] = (t + shift, u)
-            return traj
-
-        monkeypatch.setattr(solver, "solve", shifted_solve)
+    def test_snapshot_times_must_agree(self, shift, agree):
+        # members pair snapshot by snapshot, as stability's runs do, where
+        # times agree to 1e-12
         u0 = cosine_datum(PeriodicGrid(64))
-        cfg = SolverConfig(cfl=0.4, snapshot_times=(0.05,))
+        cfg = SolverConfig(cfl=0.4, t_end=0.1, snapshot_times=(0.05,))
+        a, b = (solver.solve(u0, replace(cfg, delta=d)) for d in (2e-2, 1e-2))
+        t, u = b.snapshots[1]
+        b.snapshots[1] = (t + shift, u)
         if agree:
-            _, dists = solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.1, cfg)
-            assert len(dists) == 2
+            assert len(diagnostics.snapshot_distances(a, b, spectral.l2_norm)) == 3
         else:
             with pytest.raises(ValueError, match="disagree on snapshot times"):
-                solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.1, cfg)
+                diagnostics.snapshot_distances(a, b, spectral.l2_norm)
 
     def test_non_finite_distance_aborts(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(solver, "snapshot_distances", lambda *args: [np.nan])
-        u0 = cosine_datum(PeriodicGrid(64))
-        with pytest.raises(SolverAbort, match="non-finite continuation distance at delta=0.02"):
-            solver.delta_continuation(u0, [4e-2, 2e-2, 1e-2], 0.05, SolverConfig())
-        rc, err = run_cli("sweep-delta", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.05")
+        monkeypatch.setattr(diagnostics, "snapshot_distances", lambda *args: [(np.nan, np.nan)])
+        rc, err = self.sweep(tmp_path, "grid.n=64", "solver.t_end=0.05")
         assert rc == cli.EXIT_CODES["abort"]
-        assert err.startswith("run aborted: non-finite continuation distance at delta=")
+        assert err.startswith("run aborted: non-finite continuation distance at delta=0.005")
+        assert os.listdir(tmp_path) == ["resolved.cfg"]
+
+    def test_aborted_member_named_by_repr(self, tmp_path):
+        # the three deltas agree to 6 significant digits; the message names
+        # the member that failed as its files would be named
+        rc, err = self.sweep(tmp_path, "sweep.deltas=1.0000002e-3,1.0000001e-3,1e-3", "solver.max_steps=1")
+        assert rc == cli.EXIT_CODES["max_steps"]
+        assert err.startswith("run aborted: continuation member delta=0.0010000002 failed: step limit 1 ")
+        assert os.listdir(tmp_path) == ["resolved.cfg"]
 
 
 class TestRoughData:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootflow import spectral
-from rootflow.spectral import GridMismatchError, PeriodicGrid, RealField
+from rootflow.spectral import PeriodicGrid, RealField
 
 from conftest import band_limited_field
 
@@ -202,11 +202,3 @@ class TestAnalyticSignal:
     def test_computed_once_per_field(self, grid, rng):
         f = band_limited_field(grid, rng)
         assert f.F is f.F and f.F_x is f.F_x
-
-
-def test_check_same_grid(grid):
-    f = RealField(grid, np.zeros(grid.n))
-    g = RealField(PeriodicGrid(128), np.zeros(128))
-    spectral.check_same_grid(f, f)
-    with pytest.raises(GridMismatchError):
-        spectral.check_same_grid(f, g)
