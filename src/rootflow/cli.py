@@ -10,8 +10,9 @@ Commands
 
 Config files are INI-style: sections of plain `key = value` lines, in which
 `%` is text, with `#` comments.  Unknown sections (`[DEFAULT]` among them)
-or keys are hard errors; the fully resolved configuration (defaults
-included) is echoed to resolved.cfg in the output directory.  A check's
+or keys are hard errors, and so is a setting the command replaces
+(REPLACED); the fully resolved configuration (defaults included) is echoed
+to resolved.cfg in the output directory.  A check's
 bound is a constant below, not a setting.  All floats in emitted CSVs carry
 17 significant digits so a read-back reproduces the exact bytes.
 """
@@ -147,6 +148,14 @@ def default_config():
 def parse_config(text: str):
     """Parse and validate config text against the schema; returns the fully
     resolved section->key->value mapping with defaults filled in."""
+    cfg = default_config()
+    for section, key, raw in _config_items(text):
+        _set_value(cfg, section, key, raw)
+    return cfg
+
+
+def _config_items(text: str) -> list:
+    """(section, key, raw value) of every setting config text gives."""
     # plain `key = value` only: no `%` interpolation, and no section header
     # can name the empty default section, so [DEFAULT] is an unknown section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
@@ -154,13 +163,9 @@ def parse_config(text: str):
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    cfg = default_config()
-    for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            _set_value(cfg, section, key, raw)
-    return cfg
+    if unknown := [section for section in parser.sections() if section not in SCHEMA]:
+        raise ConfigError(f"unknown config section [{unknown[0]}]")
+    return [(section, key, raw) for section in parser.sections() for key, raw in parser[section].items()]
 
 
 def _set_value(cfg, section, key, raw):
@@ -185,12 +190,17 @@ def _set_value(cfg, section, key, raw):
 
 def apply_overrides(cfg, overrides):
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
-        target, raw = item.split("=", 1)
-        section, key = target.split(".", 1)
-        _set_value(cfg, section.strip(), key.strip(), raw.strip())
+        _set_value(cfg, *_override_item(item))
     return cfg
+
+
+def _override_item(item: str) -> tuple:
+    """(section, key, raw value) of one `section.key=value` override."""
+    if "=" not in item or "." not in item.split("=", 1)[0]:
+        raise ConfigError(f"override must look like section.key=value, got {item!r}")
+    target, raw = item.split("=", 1)
+    section, key = target.split(".", 1)
+    return section.strip(), key.strip(), raw.strip()
 
 
 def resolved_config_text(cfg):
@@ -564,6 +574,19 @@ def cmd_check_operators(cfg, out):
     return summary
 
 
+# the settings a command replaces with its own value, and by what: given by
+# --set or --config, they would do nothing but show in resolved.cfg
+REPLACED = {
+    "sweep-delta": {"solver.delta": "each sweep.deltas entry"},
+    "smoothing": {"solver.snapshot_times": "smoothing.num_snapshots times from smoothing.t_min to solver.t_end"},
+    "stability": {"solver.snapshot_times": "10 even steps to solver.t_end"},
+    "roots-compare": {
+        "initial.kind": "bump",
+        "solver.t_end": "roots.t",
+        "solver.pos_floor": "initial.bump_floor / 2",
+    },
+}
+
 COMMANDS = {
     "solve": cmd_solve,
     "sweep-delta": cmd_sweep_delta,
@@ -595,6 +618,9 @@ def main(argv=None):
                 text = f.read()
         cfg = parse_config(text)
         apply_overrides(cfg, args.set)
+        for section, key, _ in [*_config_items(text), *map(_override_item, args.set)]:
+            if by := REPLACED.get(args.command, {}).get(f"{section}.{key}"):
+                raise ConfigError(f"{args.command} replaces {section}.{key} by {by}, so it may not be given")
         os.makedirs(args.out, exist_ok=True)  # an --out that cannot be a directory raises OSError
         atomic_write(os.path.join(args.out, "resolved.cfg"), resolved_config_text(cfg))
     except (ValueError, OSError) as exc:  # also a config file that is not UTF-8, or a path with a null byte

@@ -40,8 +40,9 @@ class StabilityReport:
 
 
 def mass(u: RealField) -> float:
-    """Grid quadrature of the integral of u over the circle."""
-    return float(u.grid.dx * np.sum(u.values))
+    """The integral of u over the circle, 2 pi times the mean bin of its
+    spectrum, so the same on any grid the spectrum is padded to."""
+    return float(2.0 * np.pi * u.spectrum[0].real / u.grid.n)
 
 
 def dissipation(u: RealField, delta: float) -> float:

@@ -4,7 +4,8 @@ Scheme: the stiff viscous term delta * u_xx is integrated exactly in
 Fourier space (integrating factor exp(-delta k^2 dt)); the remaining
 nonlocal tendency is advanced with a two-stage explicit Heun update.
 The composition is second order in time and reduces to plain Heun when
-delta = 0.  The stages are sums of the spectra the fields keep.
+delta = 0.  The stages are sums of the spectra the fields keep.  solve
+steps on a working grid no finer than the spectrum needs.
 """
 
 import math
@@ -16,6 +17,11 @@ import numpy as np
 from . import dynamics, spectral
 from .diagnostics import dissipation, mass
 from .spectral import PeriodicGrid, RealField
+
+
+GRID_TOL = 1e-15  # a mode below this share of the mean holds rounding only
+GRID_GROW = 1e3  # the working grid doubles once a top mode holds this many rounding levels
+GRID_MIN = 64  # the working grid halves no further than this size
 
 
 class SolverAbort(RuntimeError):
@@ -94,10 +100,11 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
     return u
 
 
-def stable_dt(u: RealField, cfg: SolverConfig) -> float:
+def stable_dt(u: RealField, cfg: SolverConfig, grid: PeriodicGrid | None = None) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
-    with gamma = Re F w and |V| = |Im F| w read off F and the weight."""
-    F, w, grid = u.F, dynamics.weight(u, cfg.delta), u.grid
+    with gamma = Re F w and |V| = |Im F| w read off u's F and weight, and
+    kmax and dx those of grid, u's own unless given."""
+    F, w, grid = u.F, dynamics.weight(u, cfg.delta), grid or u.grid
     return cfg.cfl * min(
         1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
         grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
@@ -124,18 +131,65 @@ def step(u: RealField, dt: float, cfg: SolverConfig, t: float = 0.0) -> RealFiel
     return _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
 
 
-def _record(t: float, dt: float, u: RealField, delta: float) -> StepRecord:
-    return StepRecord(t, dt, u.min(), u.max(), mass(u), spectral.sobolev_seminorm(u, 0.5), dissipation(u, delta))
+def _record(t: float, dt: float, u: RealField, grid: PeriodicGrid, delta: float) -> StepRecord:
+    """The record of u: min and max of its samples on grid, mass and h12 off
+    its spectrum, the dissipation on u's own grid."""
+    values = _samples(u, grid)
+    return StepRecord(
+        t, dt, float(values.min()), float(values.max()), mass(u), spectral.sobolev_seminorm(u, 0.5), dissipation(u, delta)
+    )
 
 
-def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, delta: float, steps: int):
+def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, grid: PeriodicGrid, delta: float, steps: int):
     """Append the record of u at t after a step dt; one sum tests every field for finiteness."""
     with np.errstate(over="ignore", invalid="ignore"):  # the test below names what overflowed
-        r = _record(t, dt, u, delta)
+        r = _record(t, dt, u, grid, delta)
     if not math.isfinite(sum(r)):
         if bad := [name for name, v in zip(r._fields, r) if not math.isfinite(v)]:  # empty if only the sum overflowed
             raise SolverAbort(f"non-finite {', '.join(bad)} at t={t:.6g}, step {steps}")
     traj.records.append(r)
+
+
+def _resized(c: np.ndarray, n: int) -> np.ndarray:
+    """The rfft spectrum of size n with the modes of c that fit, zero-padded
+    or truncated and scaled by the size ratio, a power of two, so exactly."""
+    out = np.zeros(n // 2 + 1, dtype=complex)
+    k = min(c.size, out.size)
+    out[:k] = c[:k] * (n / (2 * c.size - 2))
+    return out
+
+
+def _samples(u: RealField, grid: PeriodicGrid) -> np.ndarray:
+    """u's samples on grid, at least as large as u's: its own, or one irfft
+    of its spectrum zero-padded to grid."""
+    if u.grid == grid:
+        return u.values
+    return np.fft.irfft(u.spectrum * (grid.n / u.grid.n), n=grid.n)
+
+
+def _snapshot(u: RealField, grid: PeriodicGrid, cfg: SolverConfig, t: float) -> tuple:
+    """(t, u zero-padded to grid), checked against the floor there: the
+    padded spectrum and _samples(u, grid), with no F, F_x or w."""
+    snapshot = spectral._fresh_field(grid, _samples(u, grid), _resized(u.spectrum, grid.n))
+    return t, _admissible(snapshot, cfg, t, "snapshot")
+
+
+def _working(u: RealField, n: int) -> RealField:
+    """u on the grid its next step runs on, which follows its spectrum: twice
+    u's grid, up to n, once a mode of its top eighth rises above GRID_GROW
+    rounding levels; else halved, down to GRID_MIN, while every mode from a
+    quarter of the size up is below one rounding level, GRID_TOL of the mean."""
+    m = u.grid.n
+    size, mags = m, np.abs(u.spectrum)
+    level = GRID_TOL * mags[0]
+    if m < n and mags[7 * m // 16 :].max() > GRID_GROW * level:
+        size = 2 * m
+    else:
+        while size > GRID_MIN and mags[size // 4 :].max() < level:
+            size //= 2
+    if size == m:
+        return u
+    return spectral.from_spectrum(PeriodicGrid(size), _resized(u.spectrum, size))
 
 
 def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) -> RealField:
@@ -145,9 +199,9 @@ def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
         u = mollified_initial(u0, cfg.delta)
     u = _admissible(u, cfg, 0.0, "mollified initial data")
-    traj.snapshots.append((0.0, spectral._fresh_field(u.grid, u.values, u.spectrum)))
+    traj.snapshots.append(_snapshot(u, u.grid, cfg, 0.0))
     if records:
-        _append_record(traj, 0.0, 0.0, u, cfg.delta, 0)
+        _append_record(traj, 0.0, 0.0, u, u.grid, cfg.delta, 0)
     # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
     # the record of non-constant data overflows first and names its fields
     f_max = float(np.abs(u.F).max())
@@ -165,28 +219,41 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     """Integrate from the mollified initial data to t_end.
 
     Snapshots are recorded at t=0, at every distinct requested snapshot time
-    and at t_end, which steps land on exactly.  A snapshot keeps the
-    field's read-only samples and spectrum, not its F, F_x or w, which only
-    the next step reads.  With records, a StepRecord is appended for the
-    initial state and after every accepted step; a caller that reads only
-    snapshots passes records=False, and traj.records stays empty.  Every
-    predictor and step result is still checked to be finite and above the
-    floor, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
+    and at t_end, which steps land on exactly.  Each step runs on a working
+    grid that follows the spectrum (see _working); a grid that stays the
+    datum's is the fixed grid.  dt is the datum grid's bound, with its kmax
+    and dx and with gamma and |V| read off the working samples.  A snapshot
+    is the working field zero-padded to the datum's grid: its padded
+    spectrum and samples, by one irfft where the grids differ, checked
+    against the floor there; it keeps no F, F_x or w.  With records, a
+    StepRecord is appended for the initial state and after every accepted
+    step: min_u and max_u of the samples on the datum's grid, mass and h12
+    off the spectrum, and the dissipation on the working grid, where it is
+    resolved.  A caller that reads only snapshots passes records=False, and
+    traj.records stays empty.  Every predictor and step result is still
+    checked to be finite and above the floor on the working grid, and a
+    datum whose u^2 + (Hu)^2 overflows aborts at set-up.
     Transforms: the datum's rfft and the mollified datum's ifft at set-up,
-    then 4 a step at delta = 0 and 6 at delta > 0; records add one at set-up
-    and, at delta = 0, one a step.  dynamics.weight is formed for the datum,
-    then once a step at delta = 0 and twice at delta > 0.
+    then 4 a step at delta = 0 and 6 at delta > 0, one ifft for each change
+    of grid and one irfft for each padded snapshot; records add one at
+    set-up, one a step at delta = 0, one irfft a step on the datum's grid
+    while the working grid is smaller, and, at delta > 0, one for each
+    change of grid, as the record's F_x was formed on the grid before.
+    dynamics.weight is formed for the datum, then once a step at delta = 0
+    and twice at delta > 0, and, with records, once more for each change of
+    grid.
     """
     traj = Trajectory()
     u = _start(u0, cfg, traj, records)
-    t, steps = 0.0, 0
+    grid, t, steps = u.grid, 0.0, 0
     for stop in _stops(cfg):
         while t < stop:
             if steps >= cfg.max_steps:
                 raise StepLimitAbort(
                     f"step limit {cfg.max_steps} reached at t={t:.6g}, step {steps}, short of stop {stop:.6g}"
                 )
-            dt = stable_dt(u, cfg)
+            u = _working(u, grid.n)
+            dt = stable_dt(u, cfg, grid)
             if dt < np.spacing(stop):  # at this dt, stop lies over 2^52 steps from t = 0
                 raise SolverAbort(
                     f"dt={dt:.3e} at t={t:.6g}, step {steps + 1}: below one float step of stop {stop:.6g}"
@@ -198,8 +265,8 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
                 u, t = step(u, dt, cfg, t), t + dt
             steps += 1
             if records:
-                _append_record(traj, t, dt, u, cfg.delta, steps)
-        traj.snapshots.append((stop, spectral._fresh_field(u.grid, u.values, u.spectrum)))
+                _append_record(traj, t, dt, u, grid, cfg.delta, steps)
+        traj.snapshots.append(_snapshot(u, grid, cfg, stop))
     return traj
 
 

@@ -331,6 +331,42 @@ class TestMain:
         assert "initial.eta" in err or "initial.eta" not in override
         assert "initial.c0" in err and "initial.amplitude" in err or "e308" not in override
 
+    @pytest.mark.parametrize(
+        "command, sets, first",
+        [
+            pytest.param("sweep-delta", ["solver.delta=0.5"], "solver.delta", id="sweep-delta"),
+            pytest.param(
+                "roots-compare",
+                ["roots.counts=20,40", "initial.kind=rough", "solver.t_end=0.9", "solver.pos_floor=0.3"],
+                "initial.kind",
+                id="roots-compare",
+            ),
+            pytest.param("smoothing", ["solver.snapshot_times=0.5"], "solver.snapshot_times", id="smoothing"),
+            pytest.param("stability", ["solver.snapshot_times=0.5"], "solver.snapshot_times", id="stability"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_replaced_setting_exit_code(self, tmp_path, capsys, command, sets, first, source):
+        # a setting the command replaces by its own value would do nothing
+        # but show in resolved.cfg, so giving it is a config error; the first
+        # one given is named, and nothing is written
+        if source == "set":
+            args = [arg for kv in sets for arg in ("--set", kv)]
+        else:
+            sections = {}
+            for kv in sets:
+                section, line = kv.split(".", 1)
+                sections.setdefault(section, []).append(line.replace("=", " = "))
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items()))
+            args = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        rc = self.run(command, "--out", str(out), "--set", "grid.n=64", *args)
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command} replaces {first} by ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_stability_gap_lost_in_rounding(self, tmp_path, capsys):
         # against a datum near 1e20 the gaps round away, so every perturbed
         # run equals the base and there is no growth to measure
@@ -765,7 +801,9 @@ def test_command_ends_cleanly(command, sets):
     # every input passes or exits with a documented code and its message,
     # with no traceback or warning, and whatever is written is finite
     with tempfile.TemporaryDirectory() as out:
-        argv = [a for key, value in sets.items() for a in ("--set", f"{key}={value}")]
+        # a setting the command replaces is a config error, so it is left out
+        replaced = cli.REPLACED.get(command, {})
+        argv = [a for key, value in sets.items() if key not in replaced for a in ("--set", f"{key}={value}")]
         rc, err = run_cli(command, "--out", out, *argv)
         assert_ends_cleanly(rc, err, out)
 

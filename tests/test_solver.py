@@ -119,25 +119,35 @@ class TestSolve:
         assert all(t in record_times for t in expected)
 
     @pytest.mark.parametrize(
-        "records, delta, set_up, per_step",
+        "records, delta, set_up, per_step, n",
         [
-            pytest.param(True, 0.0, 3, 5, id="0.0-5"),
-            pytest.param(True, 1e-2, 3, 6, id="0.01-6"),
-            pytest.param(False, 0.0, 2, 4, id="0.0-4-no-records"),
-            pytest.param(False, 1e-2, 2, 6, id="0.01-6-no-records"),
+            pytest.param(True, 0.0, 3, 5, 64, id="0.0-5"),
+            pytest.param(True, 1e-2, 3, 6, 64, id="0.01-6"),
+            pytest.param(False, 0.0, 2, 4, 64, id="0.0-4-no-records"),
+            pytest.param(False, 1e-2, 2, 6, 64, id="0.01-6-no-records"),
+            pytest.param(True, 0.0, 3, 5, 128, id="0.0-5-shrinks"),
+            pytest.param(True, 1e-2, 3, 6, 128, id="0.01-6-shrinks"),
+            pytest.param(False, 0.0, 2, 4, 128, id="0.0-4-no-records-shrinks"),
+            pytest.param(False, 1e-2, 2, 6, 128, id="0.01-6-no-records-shrinks"),
         ],
     )
-    def test_transform_and_validation_counts(self, monkeypatch, records, delta, set_up, per_step):
+    def test_transform_and_validation_counts(self, monkeypatch, records, delta, set_up, per_step, n):
         # set-up: rfft of the datum, one complex ifft that gives the
         # mollified datum with its F, and with records one transform for its
         # record (Lu at delta = 0, F_x, which the first tendency reuses, at
         # delta > 0).  A step then transforms only what it must: one rfft per
         # tendency, one ifft per field it makes, F_x of both stages at
         # delta > 0 and, with records at delta = 0, the record's irfft of Lu.
-        # It validates no field it computed itself
-        grid = PeriodicGrid(64)
+        # At n = 128 the datum's modes from 32 up hold rounding only, so the
+        # first step halves the grid to 64 by one ifft, and at delta > 0
+        # forms F_x afresh where the set-up record formed it at 128; each
+        # later snapshot is padded back by one irfft, and so is each record,
+        # which reads min and max off the padded samples.  It validates no
+        # field it computed itself
+        grid = PeriodicGrid(n)
         u0 = cosine_datum(grid)
         calls = {"fft": 0, "validate": 0, "step": 0}
+        sizes = []
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -149,42 +159,70 @@ class TestSolve:
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
         monkeypatch.setattr(RealField, "__post_init__", counted(RealField.__post_init__, "validate"))
-        monkeypatch.setattr(solver, "step", counted(solver.step, "step"))
+        real_step = solver.step
+        monkeypatch.setattr(solver, "step", counted(lambda u, *a: sizes.append(u.grid.n) or real_step(u, *a), "step"))
         cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,))
         traj = solver.solve(u0, cfg, records=records)
         steps = calls["step"]
         assert steps >= 2 and len(traj.records) == (steps + 1 if records else 0)
-        assert calls == {"fft": set_up + per_step * steps, "validate": 0, "step": steps}
+        assert set(sizes) == {solver.GRID_MIN}
+        shrink = 1 + (records and delta > 0)
+        padded = 2 + (steps if records else 0)
+        extra = 0 if n == solver.GRID_MIN else shrink + padded
+        assert calls == {"fft": set_up + per_step * steps + extra, "validate": 0, "step": steps}
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-2])
-    def test_records_flag_changes_no_step(self, monkeypatch, delta):
+    @pytest.mark.parametrize(
+        "delta, n",
+        [
+            pytest.param(0.0, 64, id="0.0"),
+            pytest.param(1e-2, 64, id="0.01"),
+            pytest.param(0.0, 128, id="0.0-shrinks"),
+            pytest.param(1e-2, 128, id="0.01-shrinks"),
+        ],
+    )
+    def test_records_flag_changes_no_step(self, monkeypatch, delta, n):
         # records are read off the fields the steps made and feed nothing
-        # back: without them the run takes the same steps to the same bits
-        grid = PeriodicGrid(64)
+        # back: without them the run takes the same steps, on the same
+        # working grids, to the same bits
+        grid = PeriodicGrid(n)
         cfg = SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.03, 0.05))
         steps = []
         real_step = solver.step
-        monkeypatch.setattr(solver, "step", lambda *a: steps.append(a[1]) or real_step(*a))
+        monkeypatch.setattr(solver, "step", lambda *a: steps.append((a[0].grid.n, a[1])) or real_step(*a))
         with_records = solver.solve(cosine_datum(grid), cfg)
         dts = steps[:]
         steps.clear()
         without = solver.solve(cosine_datum(grid), cfg, records=False)
         assert without.records == [] and len(with_records.records) == len(dts) + 1
         assert steps == dts
+        assert {size for size, _ in dts} == {solver.GRID_MIN}
         assert without.times == with_records.times
         for (_, a), (_, b) in zip(with_records.snapshots, without.snapshots):
             assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-3])
-    def test_records_match_snapshot_fields(self, delta):
+    @pytest.mark.parametrize(
+        "delta, n, t_end",
+        [
+            pytest.param(0.0, 256, 0.5, id="0.0"),
+            pytest.param(1e-3, 256, 0.5, id="0.001"),
+            pytest.param(0.0, 512, 1.0, id="0.0-shrinks"),
+            pytest.param(1e-3, 512, 1.0, id="0.001-shrinks"),
+        ],
+    )
+    def test_records_match_snapshot_fields(self, monkeypatch, delta, n, t_end):
         # the record reads F, F_x or Lu the step left behind; at each snapshot
-        # it must agree with the same quantities worked out from the samples
-        grid = PeriodicGrid(256)
-        cfg = SolverConfig(delta=delta, t_end=0.5, cfl=0.4, snapshot_times=(0.125, 0.25))
+        # it must agree with the same quantities worked out from the samples,
+        # and its min and max are those of the snapshot exactly, also where
+        # the run steps on a smaller working grid and both are padded
+        grid = PeriodicGrid(n)
+        cfg = SolverConfig(delta=delta, t_end=t_end, cfl=0.4, snapshot_times=(t_end / 4, t_end / 2))
+        sizes = step_sizes(monkeypatch)
         traj = solver.solve(solver.rough_initial_data(grid, seed=1), cfg)
+        assert (min(sizes) < n) == (n == 512)
         by_time = {r.t: r for r in traj.records}
         for t, u in traj.snapshots:
             r = by_time[t]
+            assert (r.min_u, r.max_u) == (u.min(), u.max())
             got = [r.min_u, r.max_u, r.mass, r.h12, r.dissipation]
             np.testing.assert_allclose(got, numpy_field_quantities(u.values, delta), rtol=1e-12, atol=0.0)
 
@@ -282,6 +320,76 @@ class TestSolve:
         e24 = np.abs(u2 - u4).max()
         order = np.log2(e12 / e24)
         assert order > 1.8
+
+
+def step_sizes(monkeypatch):
+    """The working grid size of every solver.step call from now on."""
+    sizes = []
+    real_step = solver.step
+    monkeypatch.setattr(solver, "step", lambda u, *a: sizes.append(u.grid.n) or real_step(u, *a))
+    return sizes
+
+
+class TestWorkingGrid:
+    @pytest.mark.parametrize("n, band, size", [(512, 10, 64), (512, 40, 128), (256, 65, 256), (128, 31, 64)])
+    def test_shrink_then_pad_is_exact(self, n, band, size):
+        # a field with no mode from `band` up halves while that band lies
+        # below a quarter of the grid; padding back gives its spectrum to
+        # the bit, as the size ratio is a power of two
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(band)
+        c = np.zeros(grid.kmax + 1, dtype=complex)
+        c[1:band] = n * (rng.normal(size=band - 1) + 1j * rng.normal(size=band - 1)) / band**2
+        c[0] = 4 * n
+        u = spectral.from_spectrum(grid, c)
+        w = solver._working(u, n)
+        assert w.grid.n == size
+        _, back = solver._snapshot(w, grid, SolverConfig(), 0.5)
+        assert back.grid == grid and np.array_equal(back.spectrum, c)
+        np.testing.assert_allclose(back.values, u.values, rtol=0.0, atol=1e-14 * np.abs(u.values).max())
+        assert solver._working(back, n).grid.n == size
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_rough_run_shrinks_and_never_grows(self, monkeypatch, delta):
+        # rough seed 0 smooths at every positive time, so the grid its
+        # steps run on only halves, to 512 or below by t = 1
+        sizes = step_sizes(monkeypatch)
+        u0 = solver.rough_initial_data(PeriodicGrid(2048), seed=0)
+        solver.solve(u0, SolverConfig(delta=delta, t_end=1.0, cfl=0.4), records=False)
+        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] <= 512
+
+    def test_grid_doubles_when_its_top_modes_grow(self, monkeypatch):
+        # the cosine datum runs on 64 points; a mode put near the top of that
+        # grid after the third step, 1e-10 of the mean, doubles it
+        sizes = step_sizes(monkeypatch)
+        stepped = solver.step
+
+        def kicked(u, *a):
+            v = stepped(u, *a)
+            if len(sizes) != 3:
+                return v
+            c = v.spectrum.copy()
+            c[30] += 1e-10 * c[0]
+            return spectral.from_spectrum(v.grid, c)
+
+        monkeypatch.setattr(solver, "step", kicked)
+        solver.solve(cosine_datum(PeriodicGrid(256)), SolverConfig(t_end=0.05), records=False)
+        assert sizes[:4] == [64, 64, 64, 128]
+
+    def test_dt_max_sets_the_fixed_grid_step_count(self, monkeypatch):
+        # dt_max is not scaled with the working grid: a run it limits takes
+        # the steps a fixed grid takes, cfl * dt_max each, cut at each stop
+        sizes = step_sizes(monkeypatch)
+        cfg = SolverConfig(t_end=0.05, cfl=0.5, dt_max=1e-3, snapshot_times=(0.02,))
+        traj = solver.solve(cosine_datum(PeriodicGrid(256)), cfg)
+        dt, t, expected = cfg.cfl * cfg.dt_max, 0.0, []
+        for stop in (0.02, 0.05):
+            while t < stop:
+                expected.append(stop - t if t + dt >= stop else dt)
+                t = stop if t + dt >= stop else t + dt
+        assert set(sizes) == {64}
+        assert [r.dt for r in traj.records[1:]] == expected
 
 
 def u_star(t, x):
