@@ -616,9 +616,9 @@ def main(argv=None):
         if args.config:
             with open(args.config, encoding="utf-8") as f:
                 text = f.read()
-        cfg = parse_config(text)
-        apply_overrides(cfg, args.set)
-        for section, key, _ in [*_config_items(text), *map(_override_item, args.set)]:
+        cfg = default_config()
+        for section, key, raw in [*_config_items(text), *map(_override_item, args.set)]:
+            _set_value(cfg, section, key, raw)
             if by := REPLACED.get(args.command, {}).get(f"{section}.{key}"):
                 raise ConfigError(f"{args.command} replaces {section}.{key} by {by}, so it may not be given")
         os.makedirs(args.out, exist_ok=True)  # an --out that cannot be a directory raises OSError

@@ -151,45 +151,57 @@ def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, grid: Pe
 
 
 def _resized(c: np.ndarray, n: int) -> np.ndarray:
-    """The rfft spectrum of size n with the modes of c that fit, zero-padded
-    or truncated and scaled by the size ratio, a power of two, so exactly."""
+    """The rfft spectrum on n points of the field whose rfft on m = 2 c.size - 2
+    points is c, n = m 2^j with j != 0: the modes below the smaller grid's
+    Nyquist mode K, scaled by n / m, a power of two, so exactly.  Bin K is
+    one mode on the smaller grid, whose samples read only its real part, and
+    stands for +K and -K on the larger: padding keeps half that real part;
+    truncating zeroes the bin, as _working truncates only modes below one
+    rounding level."""
+    m = 2 * c.size - 2
     out = np.zeros(n // 2 + 1, dtype=complex)
-    k = min(c.size, out.size)
-    out[:k] = c[:k] * (n / (2 * c.size - 2))
+    k = min(m, n) // 2
+    out[:k] = c[:k] * (n / m)
+    if n > m:
+        out[k] = c[k].real * (n / m / 2)
     return out
 
 
 def _samples(u: RealField, grid: PeriodicGrid) -> np.ndarray:
     """u's samples on grid, at least as large as u's: its own, or one irfft
-    of its spectrum zero-padded to grid."""
+    of its spectrum padded to grid."""
     if u.grid == grid:
         return u.values
-    return np.fft.irfft(u.spectrum * (grid.n / u.grid.n), n=grid.n)
+    return np.fft.irfft(_resized(u.spectrum, grid.n), n=grid.n)
 
 
 def _snapshot(u: RealField, grid: PeriodicGrid, cfg: SolverConfig, t: float) -> tuple:
-    """(t, u zero-padded to grid), checked against the floor there: the
-    padded spectrum and _samples(u, grid), with no F, F_x or w."""
-    snapshot = spectral._fresh_field(grid, _samples(u, grid), _resized(u.spectrum, grid.n))
-    return t, _admissible(snapshot, cfg, t, "snapshot")
+    """(t, u on grid) with no F, F_x or w: u's own samples and spectrum where
+    u is on grid, which its own check passed; else u padded to grid and
+    checked against the floor there."""
+    if u.grid == grid:
+        return t, spectral._fresh_field(grid, u.values, u.spectrum)
+    c = _resized(u.spectrum, grid.n)
+    return t, _admissible(spectral._fresh_field(grid, np.fft.irfft(c, n=grid.n), c), cfg, t, "snapshot")
 
 
 def _working(u: RealField, n: int) -> RealField:
-    """u on the grid its next step runs on, which follows its spectrum: twice
-    u's grid, up to n, once a mode of its top eighth rises above GRID_GROW
-    rounding levels; else halved, down to GRID_MIN, while every mode from a
-    quarter of the size up is below one rounding level, GRID_TOL of the mean."""
-    m = u.grid.n
-    size, mags = m, np.abs(u.spectrum)
-    level = GRID_TOL * mags[0]
-    if m < n and mags[7 * m // 16 :].max() > GRID_GROW * level:
+    """u on the grid its next step runs on, which follows its spectrum and is
+    always n / 2^j: twice u's grid, up to n, once a mode of its top eighth
+    rises above GRID_GROW rounding levels; else halved, down to GRID_MIN and
+    while the half is even, as long as every mode from a quarter of the size
+    up is below one rounding level, GRID_TOL of the mean."""
+    m, c = u.grid.n, u.spectrum
+    level = GRID_TOL * abs(c[0])
+    if m < n and np.abs(c[7 * m // 16 :]).max() > GRID_GROW * level:
         size = 2 * m
     else:
-        while size > GRID_MIN and mags[size // 4 :].max() < level:
+        size = m
+        while size >= 2 * GRID_MIN and size % 4 == 0 and np.abs(c[size // 4 : size // 2 + 1]).max() < level:
             size //= 2
     if size == m:
         return u
-    return spectral.from_spectrum(PeriodicGrid(size), _resized(u.spectrum, size))
+    return spectral.from_spectrum(PeriodicGrid(size), _resized(c, size))
 
 
 def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) -> RealField:
@@ -223,16 +235,16 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     grid that follows the spectrum (see _working); a grid that stays the
     datum's is the fixed grid.  dt is the datum grid's bound, with its kmax
     and dx and with gamma and |V| read off the working samples.  A snapshot
-    is the working field zero-padded to the datum's grid: its padded
-    spectrum and samples, by one irfft where the grids differ, checked
-    against the floor there; it keeps no F, F_x or w.  With records, a
-    StepRecord is appended for the initial state and after every accepted
-    step: min_u and max_u of the samples on the datum's grid, mass and h12
-    off the spectrum, and the dissipation on the working grid, where it is
-    resolved.  A caller that reads only snapshots passes records=False, and
-    traj.records stays empty.  Every predictor and step result is still
-    checked to be finite and above the floor on the working grid, and a
-    datum whose u^2 + (Hu)^2 overflows aborts at set-up.
+    is the working field on the datum's grid, with no F, F_x or w: where the
+    grids differ, its padded spectrum (see _resized) and samples, by one
+    irfft, checked against the floor there; else the field itself.  With
+    records, a StepRecord is appended for the initial state and after every
+    accepted step: min_u and max_u of the samples on the datum's grid, mass
+    and h12 off the spectrum, and the dissipation on the working grid, where
+    it is resolved.  A caller that reads only snapshots passes
+    records=False, and traj.records stays empty.  Every predictor and step
+    result is still checked to be finite and above the floor on the working
+    grid, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
     Transforms: the datum's rfft and the mollified datum's ifft at set-up,
     then 4 a step at delta = 0 and 6 at delta > 0, one ifft for each change
     of grid and one irfft for each padded snapshot; records add one at

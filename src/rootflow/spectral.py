@@ -179,7 +179,15 @@ def derivative_multiplier(grid: PeriodicGrid) -> np.ndarray:
 
 def frac_laplacian(f: RealField) -> RealField:
     """Half Laplacian (-d^2/dx^2)^(1/2) = d/dx o H, multiplier |k|."""
-    return _apply_multiplier(f, f.grid.wavenumbers.astype(float))
+    return _apply_multiplier(f, frac_laplacian_multiplier(f.grid))
+
+
+@lru_cache(maxsize=32)
+def frac_laplacian_multiplier(grid: PeriodicGrid) -> np.ndarray:
+    """|k| on the rfft layout; read-only."""
+    mult = grid.wavenumbers.astype(float)
+    mult.setflags(write=False)
+    return mult
 
 
 def heat_propagate(f: RealField, tau: float) -> RealField:

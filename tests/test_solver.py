@@ -349,12 +349,46 @@ class TestWorkingGrid:
         np.testing.assert_allclose(back.values, u.values, rtol=0.0, atol=1e-14 * np.abs(u.values).max())
         assert solver._working(back, n).grid.n == size
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-3])
-    def test_rough_run_shrinks_and_never_grows(self, monkeypatch, delta):
-        # rough seed 0 smooths at every positive time, so the grid its
-        # steps run on only halves, to 512 or below by t = 1
+    def test_padding_keeps_the_nyquist_mode(self):
+        # the 64-point grid's Nyquist bin is one mode there, read by its real
+        # part, and +-32 on 128 points: the padded field keeps half that real
+        # part and takes the working samples at every other point
+        grid = PeriodicGrid(64)
+        rng = np.random.default_rng(3)
+        c = 64 * (rng.normal(size=33) + 1j * rng.normal(size=33)) / 100
+        c[0] = 64 * 4.0
+        u = spectral.from_spectrum(grid, c)
+        _, padded = solver._snapshot(u, PeriodicGrid(128), SolverConfig(), 0.0)
+        assert padded.spectrum[32] == c[32].real
+        np.testing.assert_allclose(padded.values[::2], u.values, rtol=0.0, atol=1e-14)
+        # truncating zeroes the bin that becomes the Nyquist mode: halving
+        # happens only once every mode from there up is below rounding
+        assert solver._resized(padded.spectrum, 64)[32] == 0.0
+
+    @pytest.mark.parametrize("n, halves", [(132, [66]), (196, [98]), (130, [])], ids=["132", "196", "130"])
+    def test_grid_not_a_power_of_two(self, monkeypatch, tmp_path, n, halves):
+        # the working grid stays n / 2^j and even: 132 and 196 halve once,
+        # 130 never; each run gives the fixed grid's steps and snapshots
         sizes = step_sizes(monkeypatch)
-        u0 = solver.rough_initial_data(PeriodicGrid(2048), seed=0)
+        assert run_cli("solve", "--out", str(tmp_path / "w"), "--set", f"grid.n={n}") == (0, "")
+        assert sorted(set(sizes) - {n}) == halves
+        working, sizes[:] = list(sizes), []
+        monkeypatch.setattr(solver, "GRID_MIN", n)
+        assert run_cli("solve", "--out", str(tmp_path / "f"), "--set", f"grid.n={n}") == (0, "")
+        assert set(sizes) == {n} and len(sizes) == len(working)
+        for (t, a), (s, b) in zip(*(cli.read_snapshot_csv(str(tmp_path / d / "snapshots.csv")) for d in "wf")):
+            assert t == s
+            np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1826701615])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_rough_run_shrinks_and_never_grows(self, monkeypatch, delta, seed):
+        # rough data smooth at every positive time, so the grid their steps
+        # run on only halves, to 512 or below by t = 1; the second seed, a
+        # rough_pde datum, leaves a bin that no step at delta = 0 changes
+        # near rounding as it halves, which truncation must drop
+        sizes = step_sizes(monkeypatch)
+        u0 = solver.rough_initial_data(PeriodicGrid(2048), seed=seed)
         solver.solve(u0, SolverConfig(delta=delta, t_end=1.0, cfl=0.4), records=False)
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= 512
