@@ -453,11 +453,17 @@ def cmd_stability(cfg, out):
         pert = RealField(u0.grid, u0.values + gap * np.cos(u0.grid.points))
         if pert.min() <= 0:
             raise ConfigError(f"stability gap {gap!r} leaves the perturbed datum non-positive, min u = {pert.min():.3e}")
-        traj = solver.solve(pert, scfg, records=False)
-        rep = diagnostics.stability_compare(base, traj)
-        if rep.distances[0] == 0.0:  # no growth to measure, and none to divide by
+        # a gap lost in the datum or in mollifying leaves no growth to measure, and none to divide by
+        if np.array_equal(pert.values, u0.values):
             raise ConfigError(
                 f"stability gap {gap!r} is lost in rounding: the perturbed datum equals u0 (max u0 = {u0.max():.3e})"
+            )
+        traj = solver.solve(pert, scfg, records=False)
+        rep = diagnostics.stability_compare(base, traj)
+        if rep.distances[0] == 0.0:
+            raise ConfigError(
+                f"stability gap {gap!r} is lost in mollifying: at solver.delta = {scfg.delta!r} "
+                "the mollified perturbed datum equals the mollified u0"
             )
         growths.append(rep.growth)
         summary.note(f"growth_gap_{gap!r}", rep.growth)

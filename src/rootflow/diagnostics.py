@@ -101,7 +101,7 @@ def smoothing_fit(traj, s: float, eps0: float, t_min: float) -> SmoothingReport:
     """
     if t_min <= 0:
         raise ValueError("t_min must be positive")
-    pts = [(t, u) for t, u in traj.snapshots if t >= t_min - 1e-13]
+    pts = [(t, u) for t, u in traj.snapshots if t > 0 and t >= t_min - 1e-13]  # log t needs t > 0
     if len(pts) < 3:
         raise ValueError(f"need at least 3 snapshots with t >= {t_min}, got {len(pts)}")
     times = np.array([t for t, _ in pts])

@@ -100,11 +100,11 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
     return u
 
 
-def stable_dt(u: RealField, cfg: SolverConfig, grid: PeriodicGrid | None = None) -> float:
+def stable_dt(u: RealField, cfg: SolverConfig, grid: PeriodicGrid) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
     with gamma = Re F w and |V| = |Im F| w read off u's F and weight, and
-    kmax and dx those of grid, u's own unless given."""
-    F, w, grid = u.F, dynamics.weight(u, cfg.delta), grid or u.grid
+    kmax and dx those of grid."""
+    F, w = u.F, dynamics.weight(u, cfg.delta)
     return cfg.cfl * min(
         1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
         grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
@@ -131,19 +131,18 @@ def step(u: RealField, dt: float, cfg: SolverConfig, t: float = 0.0) -> RealFiel
     return _admissible(spectral.from_spectrum(u.grid, c_new), cfg, t, "step result")
 
 
-def _record(t: float, dt: float, u: RealField, grid: PeriodicGrid, delta: float) -> StepRecord:
-    """The record of u: min and max of its samples on grid, mass and h12 off
-    its spectrum, the dissipation on u's own grid."""
-    values = _samples(u, grid)
+def _record(t: float, dt: float, u: RealField, values: np.ndarray, delta: float) -> StepRecord:
+    """The record of u: min and max of values, its samples on the user grid,
+    mass and h12 off its spectrum, the dissipation on u's own grid."""
     return StepRecord(
         t, dt, float(values.min()), float(values.max()), mass(u), spectral.sobolev_seminorm(u, 0.5), dissipation(u, delta)
     )
 
 
-def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, grid: PeriodicGrid, delta: float, steps: int):
+def _append_record(traj: Trajectory, t: float, dt: float, u: RealField, values: np.ndarray, delta: float, steps: int):
     """Append the record of u at t after a step dt; one sum tests every field for finiteness."""
     with np.errstate(over="ignore", invalid="ignore"):  # the test below names what overflowed
-        r = _record(t, dt, u, grid, delta)
+        r = _record(t, dt, u, values, delta)
     if not math.isfinite(sum(r)):
         if bad := [name for name, v in zip(r._fields, r) if not math.isfinite(v)]:  # empty if only the sum overflowed
             raise SolverAbort(f"non-finite {', '.join(bad)} at t={t:.6g}, step {steps}")
@@ -167,22 +166,19 @@ def _resized(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _samples(u: RealField, grid: PeriodicGrid) -> np.ndarray:
-    """u's samples on grid, at least as large as u's: its own, or one irfft
-    of its spectrum padded to grid."""
+def _on_grid(u: RealField, grid: PeriodicGrid) -> tuple:
+    """(spectrum, samples) of u on grid, at least as large as u's: its own,
+    or its spectrum padded to grid and one irfft."""
     if u.grid == grid:
-        return u.values
-    return np.fft.irfft(_resized(u.spectrum, grid.n), n=grid.n)
-
-
-def _snapshot(u: RealField, grid: PeriodicGrid, cfg: SolverConfig, t: float) -> tuple:
-    """(t, u on grid) with no F, F_x or w: u's own samples and spectrum where
-    u is on grid, which its own check passed; else u padded to grid and
-    checked against the floor there."""
-    if u.grid == grid:
-        return t, spectral._fresh_field(grid, u.values, u.spectrum)
+        return u.spectrum, u.values
     c = _resized(u.spectrum, grid.n)
-    return t, _admissible(spectral._fresh_field(grid, np.fft.irfft(c, n=grid.n), c), cfg, t, "snapshot")
+    return c, np.fft.irfft(c, n=grid.n)
+
+
+def _snapshot(grid: PeriodicGrid, c: np.ndarray, values: np.ndarray, cfg: SolverConfig, t: float) -> tuple:
+    """(t, the field with spectrum c and samples values on grid), with no F,
+    F_x or w, checked against the floor."""
+    return t, _admissible(spectral._fresh_field(grid, values, c), cfg, t, "snapshot")
 
 
 def _working(u: RealField, n: int) -> RealField:
@@ -211,9 +207,9 @@ def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) ->
     with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
         u = mollified_initial(u0, cfg.delta)
     u = _admissible(u, cfg, 0.0, "mollified initial data")
-    traj.snapshots.append(_snapshot(u, u.grid, cfg, 0.0))
+    traj.snapshots.append(_snapshot(u.grid, u.spectrum, u.values, cfg, 0.0))
     if records:
-        _append_record(traj, 0.0, 0.0, u, u.grid, cfg.delta, 0)
+        _append_record(traj, 0.0, 0.0, u, u.values, cfg.delta, 0)
     # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
     # the record of non-constant data overflows first and names its fields
     f_max = float(np.abs(u.F).max())
@@ -234,22 +230,22 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     and at t_end, which steps land on exactly.  Each step runs on a working
     grid that follows the spectrum (see _working); a grid that stays the
     datum's is the fixed grid.  dt is the datum grid's bound, with its kmax
-    and dx and with gamma and |V| read off the working samples.  A snapshot
-    is the working field on the datum's grid, with no F, F_x or w: where the
-    grids differ, its padded spectrum (see _resized) and samples, by one
-    irfft, checked against the floor there; else the field itself.  With
-    records, a StepRecord is appended for the initial state and after every
-    accepted step: min_u and max_u of the samples on the datum's grid, mass
-    and h12 off the spectrum, and the dissipation on the working grid, where
-    it is resolved.  A caller that reads only snapshots passes
-    records=False, and traj.records stays empty.  Every predictor and step
-    result is still checked to be finite and above the floor on the working
-    grid, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
+    and dx and with gamma and |V| read off the working samples.  After each
+    step that lands on a stop, or every step with records, _on_grid puts the
+    working field on the datum's grid once; a snapshot is a field of that
+    spectrum and those samples, with no F, F_x or w, checked against the
+    floor.  With records, a StepRecord is appended for the initial state
+    and after every accepted step: min_u and max_u of the samples on the
+    datum's grid, mass and h12 off the spectrum, and the dissipation on the
+    working grid, where it is resolved.  A caller that reads only snapshots
+    passes records=False, and traj.records stays empty.  Every predictor and
+    step result is still checked to be finite and above the floor on the
+    working grid, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
     Transforms: the datum's rfft and the mollified datum's ifft at set-up,
     then 4 a step at delta = 0 and 6 at delta > 0, one ifft for each change
-    of grid and one irfft for each padded snapshot; records add one at
-    set-up, one a step at delta = 0, one irfft a step on the datum's grid
-    while the working grid is smaller, and, at delta > 0, one for each
+    of grid and one irfft for each stop landed on a smaller working grid;
+    records add one at set-up, one a step at delta = 0, one irfft for each
+    other step on a smaller working grid, and, at delta > 0, one for each
     change of grid, as the record's F_x was formed on the grid before.
     dynamics.weight is formed for the datum, then once a step at delta = 0
     and twice at delta > 0, and, with records, once more for each change of
@@ -270,15 +266,16 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
                 raise SolverAbort(
                     f"dt={dt:.3e} at t={t:.6g}, step {steps + 1}: below one float step of stop {stop:.6g}"
                 )
-            if t + dt >= stop:
+            land = t + dt >= stop
+            if land:
                 dt = stop - t
-                u, t = step(u, dt, cfg, t), stop
-            else:
-                u, t = step(u, dt, cfg, t), t + dt
+            u, t = step(u, dt, cfg, t), stop if land else t + dt
             steps += 1
+            if records or land:  # the step that lands on stop is the last
+                c, values = _on_grid(u, grid)
             if records:
-                _append_record(traj, t, dt, u, grid, cfg.delta, steps)
-        traj.snapshots.append(_snapshot(u, grid, cfg, stop))
+                _append_record(traj, t, dt, u, values, cfg.delta, steps)
+        traj.snapshots.append(_snapshot(grid, c, values, cfg, stop))
     return traj
 
 

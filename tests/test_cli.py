@@ -380,6 +380,18 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_stability_gap_lost_in_mollifying(self, tmp_path, capsys):
+        # the perturbed datum differs by 1e-3, but exp(-40) erases mode 1 of
+        # both data, so the cause named is solver.delta, not rounding
+        rc = self.run(
+            "stability", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "solver.t_end=0.1",
+            "--set", "solver.delta=40",
+        )
+        assert rc == cli.EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: stability gap 0.001 is lost in mollifying: at solver.delta = 40.0 ")
+        assert "rounding" not in err and not (tmp_path / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "sets, message",
         [
@@ -431,6 +443,16 @@ class TestMain:
         times = [t for t, _ in cli.read_snapshot_csv(str(tmp_path / "snapshots.csv"))]
         assert times[1] == 0.01  # the default smoothing.t_min
         assert times[-1] == float(t_end)
+
+    def test_smoothing_never_fits_t_zero(self, tmp_path, capsys):
+        # at smoothing.t_min below the 1e-13 slack the t = 0 snapshot passed
+        # the t >= t_min test, and log 0 broke the fit; the fit reads t > 0
+        rc = self.run(
+            "smoothing", "--out", str(tmp_path), "--set", "grid.n=64", "--set", "smoothing.t_min=1e-14"
+        )
+        assert rc == 0
+        rows = (tmp_path / "summary.csv").read_text()
+        assert "norm_t_0," not in rows and "norm_t_1e-14," in rows
 
     @pytest.mark.parametrize("s", ["1e300", "110"])
     def test_smoothing_rejects_overflowing_order(self, tmp_path, capsys, s):

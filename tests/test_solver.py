@@ -140,10 +140,11 @@ class TestSolve:
         # delta > 0 and, with records at delta = 0, the record's irfft of Lu.
         # At n = 128 the datum's modes from 32 up hold rounding only, so the
         # first step halves the grid to 64 by one ifft, and at delta > 0
-        # forms F_x afresh where the set-up record formed it at 128; each
-        # later snapshot is padded back by one irfft, and so is each record,
-        # which reads min and max off the padded samples.  It validates no
-        # field it computed itself
+        # forms F_x afresh where the set-up record formed it at 128.  With
+        # records each step pads the field back to 128 by one irfft, which
+        # its record's min and max and a stop's snapshot share; without, each
+        # later snapshot is padded by one.  It validates no field it computed
+        # itself
         grid = PeriodicGrid(n)
         u0 = cosine_datum(grid)
         calls = {"fft": 0, "validate": 0, "step": 0}
@@ -167,7 +168,7 @@ class TestSolve:
         assert steps >= 2 and len(traj.records) == (steps + 1 if records else 0)
         assert set(sizes) == {solver.GRID_MIN}
         shrink = 1 + (records and delta > 0)
-        padded = 2 + (steps if records else 0)
+        padded = steps if records else 2
         extra = 0 if n == solver.GRID_MIN else shrink + padded
         assert calls == {"fft": set_up + per_step * steps + extra, "validate": 0, "step": steps}
 
@@ -226,13 +227,24 @@ class TestSolve:
             got = [r.min_u, r.max_u, r.mass, r.h12, r.dissipation]
             np.testing.assert_allclose(got, numpy_field_quantities(u.values, delta), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("delta", [0.0, 1e-3])
-    def test_snapshots_carry_no_stepping_cache(self, monkeypatch, delta):
+    @pytest.mark.parametrize(
+        "delta, n",
+        [
+            pytest.param(0.0, 64, id="0.0"),
+            pytest.param(1e-3, 64, id="0.001"),
+            pytest.param(0.0, 128, id="0.0-shrinks"),
+            pytest.param(1e-3, 128, id="0.001-shrinks"),
+        ],
+    )
+    def test_snapshots_carry_no_stepping_cache(self, monkeypatch, delta, n):
         # a snapshot shares the samples and spectrum of the field the run
-        # stepped, but none of its F, F_x or w: F takes one ifft afresh, and
-        # its real part is the samples bit for bit
-        grid = PeriodicGrid(64)
+        # stepped, or of that field padded to n, but none of its F, F_x or
+        # w: F takes one ifft afresh, and its real part is the samples, bit
+        # for bit where a step made them and to rounding where irfft did
+        grid = PeriodicGrid(n)
+        sizes = step_sizes(monkeypatch)
         traj = solver.solve(cosine_datum(grid), SolverConfig(delta=delta, t_end=0.1, snapshot_times=(0.05,)))
+        assert set(sizes) == {solver.GRID_MIN}
         calls = []
 
         def counted(name):
@@ -241,9 +253,10 @@ class TestSolve:
 
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(name))
-        for _, u in traj.snapshots:
+        for t, u in traj.snapshots:
             assert not {"F", "F_x", "_weight"} & vars(u).keys()
-            assert np.array_equal(u.F.real, u.values)
+            atol = 0.0 if n == solver.GRID_MIN or t == 0.0 else 1e-15
+            np.testing.assert_allclose(u.F.real, u.values, rtol=0.0, atol=atol)
         assert calls == ["ifft"] * len(traj.snapshots)
 
     def test_step_limit(self, tmp_path):
@@ -344,9 +357,10 @@ class TestWorkingGrid:
         u = spectral.from_spectrum(grid, c)
         w = solver._working(u, n)
         assert w.grid.n == size
-        _, back = solver._snapshot(w, grid, SolverConfig(), 0.5)
-        assert back.grid == grid and np.array_equal(back.spectrum, c)
-        np.testing.assert_allclose(back.values, u.values, rtol=0.0, atol=1e-14 * np.abs(u.values).max())
+        spectrum, values = solver._on_grid(w, grid)
+        assert np.array_equal(spectrum, c)
+        np.testing.assert_allclose(values, u.values, rtol=0.0, atol=1e-14 * np.abs(u.values).max())
+        _, back = solver._snapshot(grid, spectrum, values, SolverConfig(), 0.5)
         assert solver._working(back, n).grid.n == size
 
     def test_padding_keeps_the_nyquist_mode(self):
@@ -358,12 +372,12 @@ class TestWorkingGrid:
         c = 64 * (rng.normal(size=33) + 1j * rng.normal(size=33)) / 100
         c[0] = 64 * 4.0
         u = spectral.from_spectrum(grid, c)
-        _, padded = solver._snapshot(u, PeriodicGrid(128), SolverConfig(), 0.0)
-        assert padded.spectrum[32] == c[32].real
-        np.testing.assert_allclose(padded.values[::2], u.values, rtol=0.0, atol=1e-14)
+        spectrum, values = solver._on_grid(u, PeriodicGrid(128))
+        assert spectrum[32] == c[32].real
+        np.testing.assert_allclose(values[::2], u.values, rtol=0.0, atol=1e-14)
         # truncating zeroes the bin that becomes the Nyquist mode: halving
         # happens only once every mode from there up is below rounding
-        assert solver._resized(padded.spectrum, 64)[32] == 0.0
+        assert solver._resized(spectrum, 64)[32] == 0.0
 
     @pytest.mark.parametrize("n, halves", [(132, [66]), (196, [98]), (130, [])], ids=["132", "196", "130"])
     def test_grid_not_a_power_of_two(self, monkeypatch, tmp_path, n, halves):
