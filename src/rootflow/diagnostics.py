@@ -50,9 +50,9 @@ def dissipation(u: RealField, delta: float) -> float:
     for u > 0 or delta > 0, with the weight w from dynamics.weight.
 
     At delta > 0 Lu is read off F_x = u_x + iLu, which the next step's
-    tendency needs and finds kept; at delta = 0 no tendency needs F_x and
-    frac_laplacian gives Lu by one irfft."""
-    lu = u.F_x.imag if delta > 0 else spectral.frac_laplacian(u).values
+    tendency needs and finds kept; at delta = 0 no tendency needs F_x and Lu
+    is one irfft of |k| times u's spectrum."""
+    lu = u.F_x.imag if delta > 0 else np.fft.irfft(u.spectrum * spectral.frac_laplacian_multiplier(u.grid), n=u.grid.n)
     return float(np.pi * u.grid.dx * np.sum(u.F.real * dynamics.weight(u, delta) * lu**2))
 
 

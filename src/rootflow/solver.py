@@ -5,7 +5,8 @@ Fourier space (integrating factor exp(-delta k^2 dt)); the remaining
 nonlocal tendency is advanced with a two-stage explicit Heun update.
 The composition is second order in time and reduces to plain Heun when
 delta = 0.  The stages are sums of the spectra the fields keep.  solve
-steps on a working grid no finer than the spectrum needs.
+steps on a working grid no finer than the spectrum needs, at that grid's
+own dt bound.
 """
 
 import math
@@ -100,11 +101,11 @@ def _admissible(u: RealField, cfg: SolverConfig, t: float, what: str) -> RealFie
     return u
 
 
-def stable_dt(u: RealField, cfg: SolverConfig, grid: PeriodicGrid) -> float:
+def stable_dt(u: RealField, cfg: SolverConfig) -> float:
     """Explicit step bound cfl * min(1/(max gamma * kmax), dx/max|V|, dt_max),
     with gamma = Re F w and |V| = |Im F| w read off u's F and weight, and
-    kmax and dx those of grid."""
-    F, w = u.F, dynamics.weight(u, cfg.delta)
+    kmax and dx those of u's own grid."""
+    F, w, grid = u.F, dynamics.weight(u, cfg.delta), u.grid
     return cfg.cfl * min(
         1.0 / (max(float((F.real * w).max()), 1e-300) * grid.kmax),
         grid.dx / max(float((np.abs(F.imag) * w).max()), 1e-300),
@@ -200,20 +201,20 @@ def _working(u: RealField, n: int) -> RealField:
     return spectral.from_spectrum(PeriodicGrid(size), _resized(c, size))
 
 
-def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory, records: bool) -> RealField:
-    """The set-up checks of a run: mollify u0, check it against the floor,
-    put it into traj as the t = 0 snapshot (and record, with records) and
-    abort where u^2 + (Hu)^2 overflows; returns the mollified datum."""
+def _start(u0: RealField, cfg: SolverConfig, traj: Trajectory) -> RealField:
+    """The set-up checks of a run: mollify u0, check it against the floor
+    and put it into traj as the t = 0 snapshot; returns the mollified datum."""
     with np.errstate(over="ignore", invalid="ignore"):  # the spectrum of huge data overflows; the check names it
         u = mollified_initial(u0, cfg.delta)
     u = _admissible(u, cfg, 0.0, "mollified initial data")
     traj.snapshots.append(_snapshot(u.grid, u.spectrum, u.values, cfg, 0.0))
-    if records:
-        _append_record(traj, 0.0, 0.0, u, u.values, cfg.delta, 0)
-    # delta + |F|^2 must be finite, or the weight reads 0 and bounds no step;
-    # the record of non-constant data overflows first and names its fields
+    return u
+
+
+def _bounded(u: RealField, delta: float) -> RealField:
+    """u if delta + |F|^2 is finite, or the weight reads 0 and bounds no step; else abort."""
     f_max = float(np.abs(u.F).max())
-    if not math.isfinite(cfg.delta + f_max * f_max):
+    if not math.isfinite(delta + f_max * f_max):
         raise SolverAbort(f"u^2 + (Hu)^2 overflows at t=0, step 0: max |u + iHu| = {f_max:.3e} leaves no dt bound")
     return u
 
@@ -227,49 +228,54 @@ def solve(u0: RealField, cfg: SolverConfig, *, records: bool = True) -> Trajecto
     """Integrate from the mollified initial data to t_end.
 
     Snapshots are recorded at t=0, at every distinct requested snapshot time
-    and at t_end, which steps land on exactly.  Each step runs on a working
-    grid that follows the spectrum (see _working); a grid that stays the
-    datum's is the fixed grid.  dt is the datum grid's bound, with its kmax
-    and dx and with gamma and |V| read off the working samples.  After each
-    step that lands on a stop, or every step with records, _on_grid puts the
-    working field on the datum's grid once; a snapshot is a field of that
-    spectrum and those samples, with no F, F_x or w, checked against the
-    floor.  With records, a StepRecord is appended for the initial state
-    and after every accepted step: min_u and max_u of the samples on the
-    datum's grid, mass and h12 off the spectrum, and the dissipation on the
-    working grid, where it is resolved.  A caller that reads only snapshots
-    passes records=False, and traj.records stays empty.  Every predictor and
-    step result is still checked to be finite and above the floor on the
-    working grid, and a datum whose u^2 + (Hu)^2 overflows aborts at set-up.
+    and at t_end, which steps land on exactly.  The mollified datum and each
+    step's result are put on the working grid the next step runs on, which
+    follows the spectrum (see _working); a grid that never halves is the
+    fixed grid.  dt is that grid's own bound (see stable_dt), cut at a stop.
+    After each step that lands on a stop, or every step with records,
+    _on_grid puts the working field on the datum's grid once; a snapshot is
+    a field of that spectrum and those samples, with no F, F_x or w, checked
+    against the floor.  With records, a StepRecord is appended for the
+    initial state and after every accepted step, read off the field the next
+    step takes: min_u and max_u of the samples on the datum's grid, mass and
+    h12 off the spectrum, and the dissipation on the working grid, where it
+    is resolved.  A caller that reads only snapshots passes records=False,
+    and traj.records stays empty.  Every predictor and step result is still
+    checked to be finite and above the floor on the working grid, and a
+    datum whose u^2 + (Hu)^2 overflows aborts at set-up.
     Transforms: the datum's rfft and the mollified datum's ifft at set-up,
     then 4 a step at delta = 0 and 6 at delta > 0, one ifft for each change
     of grid and one irfft for each stop landed on a smaller working grid;
-    records add one at set-up, one a step at delta = 0, one irfft for each
-    other step on a smaller working grid, and, at delta > 0, one for each
-    change of grid, as the record's F_x was formed on the grid before.
-    dynamics.weight is formed for the datum, then once a step at delta = 0
-    and twice at delta > 0, and, with records, once more for each change of
-    grid.
+    records add one at set-up, one a step at delta = 0 and one irfft for
+    each other step that ends on a smaller working grid; at delta > 0 each
+    record's F_x is the next step's.  dynamics.weight is formed once a step
+    at delta = 0 and twice at delta > 0, and, with records, once more for
+    the last field.
     """
     traj = Trajectory()
-    u = _start(u0, cfg, traj, records)
-    grid, t, steps = u.grid, 0.0, 0
+    datum = _start(u0, cfg, traj)
+    grid, t, steps = datum.grid, 0.0, 0
+    u = _working(datum, grid.n)
+    if records:  # the record of huge non-constant data overflows first and names its fields
+        _append_record(traj, 0.0, 0.0, u, datum.values, cfg.delta, 0)
+    _bounded(datum, cfg.delta)
     for stop in _stops(cfg):
         while t < stop:
             if steps >= cfg.max_steps:
                 raise StepLimitAbort(
-                    f"step limit {cfg.max_steps} reached at t={t:.6g}, step {steps}, short of stop {stop:.6g}"
+                    f"step limit {cfg.max_steps} reached at t={t:.6g}, step {steps} on {u.grid.n} of {grid.n} points, "
+                    f"short of stop {stop:.6g}"
                 )
-            u = _working(u, grid.n)
-            dt = stable_dt(u, cfg, grid)
+            dt = stable_dt(u, cfg)
             if dt < np.spacing(stop):  # at this dt, stop lies over 2^52 steps from t = 0
                 raise SolverAbort(
-                    f"dt={dt:.3e} at t={t:.6g}, step {steps + 1}: below one float step of stop {stop:.6g}"
+                    f"dt={dt:.3e} at t={t:.6g}, step {steps + 1} on {u.grid.n} of {grid.n} points: "
+                    f"below one float step of stop {stop:.6g}"
                 )
             land = t + dt >= stop
             if land:
                 dt = stop - t
-            u, t = step(u, dt, cfg, t), stop if land else t + dt
+            u, t = _working(step(u, dt, cfg, t), grid.n), stop if land else t + dt
             steps += 1
             if records or land:  # the step that lands on stop is the last
                 c, values = _on_grid(u, grid)
@@ -313,7 +319,7 @@ def characteristic_snapshots(u0: RealField, cfg: SolverConfig) -> Trajectory:
     if cfg.delta != 0.0:
         raise ValueError(f"the characteristic map solves delta = 0 only, got delta = {cfg.delta:g}")
     traj = Trajectory()
-    u = _start(u0, cfg, traj, records=False)
+    u = _bounded(_start(u0, cfg, traj), cfg.delta)
     times = _stops(cfg)
     if not times:
         return traj

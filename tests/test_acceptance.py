@@ -113,7 +113,7 @@ def test_c04_steady_state():
     for delta in (0.0, 1e-2):
         cfg = SolverConfig(delta=delta)
         u = RealField(grid, np.full(grid.n, 1.3))
-        dt = solver.stable_dt(u, cfg, u.grid)
+        dt = solver.stable_dt(u, cfg)
         for _ in range(1000):
             u = solver.step(u, dt, cfg)
         worst = max(worst, np.abs(u.values - 1.3).max())

@@ -90,17 +90,35 @@ def test_heun_converges_to_map():
     "cfl, t_end, bounds",
     [pytest.param(0.4, 1.0, (1.6e-4, 6.5e-7), id="cfl0.4"), pytest.param(0.1, 0.05, (1.0e-4,), id="cfl0.1")],
 )
-def test_heun_near_map_on_rough_data(cfl, t_end, bounds):
-    # rough seed 0 at n = 512, max |Heun - map| at t = 0.05 and t = 1, each
-    # bound within 10% of its measured value (1.514e-4 and 6.19e-7 at cfl
-    # 0.4, 9.315e-5 at cfl 0.1): a 4x smaller step takes off only 38% of
-    # the t = 0.05 gap, the rest of which is the semi-discretization's
+def test_heun_near_map_on_rough_data(monkeypatch, cfl, t_end, bounds):
+    # rough seed 0 on a fixed grid of 512 points, max |Heun - map| at
+    # t = 0.05 and t = 1, each bound within 10% of its measured value
+    # (1.514e-4 and 6.19e-7 at cfl 0.4, 9.315e-5 at cfl 0.1): a 4x smaller
+    # step takes off only 38% of the t = 0.05 gap, the rest of which is the
+    # semi-discretization's
+    monkeypatch.setattr(solver, "GRID_MIN", 512)
     u0 = rough(512, 0)
     cfg = SolverConfig(t_end=t_end, snapshot_times=(0.05,), cfl=cfl)
     exact = solver.characteristic_snapshots(u0, cfg).snapshots[1:]
     heun = solver.solve(u0, cfg, records=False).snapshots[1:]
     for (_, a), (_, b), bound in zip(exact, heun, bounds, strict=True):
         assert np.abs(a.values - b.values).max() <= bound
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_heun_error_flat_in_n(n):
+    # rough seed 0 at t = 1 on a working grid that follows the spectrum, whose
+    # dt bound is its own: max |Heun - map| is 7.56e-7 at n = 512 and 5.28e-7
+    # at n = 2048 (cfl 0.4), one bound 10% above the larger holds both, and
+    # it falls at second order in cfl (1.98 and 1.98 to cfl 0.2)
+    u0 = rough(n, 0)
+    exact = solver.characteristic_snapshots(u0, SolverConfig(t_end=1.0)).snapshots[-1][1].values
+    errors = [
+        np.abs(solver.solve(u0, SolverConfig(t_end=1.0, cfl=cfl), records=False).snapshots[-1][1].values - exact).max()
+        for cfl in (0.4, 0.2)
+    ]
+    assert errors[0] <= 8.3e-7
+    assert math.log2(errors[0] / errors[1]) >= 1.9
 
 
 @pytest.mark.parametrize("seed", range(4))

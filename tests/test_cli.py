@@ -544,6 +544,7 @@ class TestMain:
         )
         assert proc.returncode == cli.EXIT_CODES["abort"]
         assert "run aborted:" in proc.stderr and "dt=" in proc.stderr and "step 1" in proc.stderr
+        assert "step 1 on 64 of 64 points: below one float step" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -695,6 +696,7 @@ class TestMain:
         proc = subprocess.run([sys.executable, "-c", timed], capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == cli.EXIT_CODES["max_steps"]
         assert "run aborted: step limit 1000 reached at t=" in proc.stderr and "step 1000" in proc.stderr
+        assert "step 1000 on 64 of 64 points, short of stop" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert float(proc.stdout) < 1.0
 

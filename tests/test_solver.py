@@ -139,8 +139,8 @@ class TestSolve:
         # tendency, one ifft per field it makes, F_x of both stages at
         # delta > 0 and, with records at delta = 0, the record's irfft of Lu.
         # At n = 128 the datum's modes from 32 up hold rounding only, so the
-        # first step halves the grid to 64 by one ifft, and at delta > 0
-        # forms F_x afresh where the set-up record formed it at 128.  With
+        # set-up halves the grid to 64 by one ifft before the first record,
+        # which reads F_x on 64 where the first tendency finds it.  With
         # records each step pads the field back to 128 by one irfft, which
         # its record's min and max and a stop's snapshot share; without, each
         # later snapshot is padded by one.  It validates no field it computed
@@ -167,9 +167,8 @@ class TestSolve:
         steps = calls["step"]
         assert steps >= 2 and len(traj.records) == (steps + 1 if records else 0)
         assert set(sizes) == {solver.GRID_MIN}
-        shrink = 1 + (records and delta > 0)
         padded = steps if records else 2
-        extra = 0 if n == solver.GRID_MIN else shrink + padded
+        extra = 0 if n == solver.GRID_MIN else 1 + padded
         assert calls == {"fft": set_up + per_step * steps + extra, "validate": 0, "step": steps}
 
     @pytest.mark.parametrize(
@@ -274,6 +273,15 @@ class TestSolve:
         )
         assert rc == cli.EXIT_CODES["max_steps"]
         assert err.startswith("run aborted: continuation member delta=0.01 failed: step limit 1 ")
+
+    def test_aborts_name_the_working_grid(self):
+        # the cosine datum on 256 points steps on 64, and both dt-loop
+        # aborts say so
+        u0 = cosine_datum(PeriodicGrid(256))
+        with pytest.raises(StepLimitAbort, match=r"step limit 1 reached at t=.*, step 1 on 64 of 256 points, short"):
+            solver.solve(u0, SolverConfig(t_end=0.1, max_steps=1))
+        with pytest.raises(SolverAbort, match=r"step 1 on 64 of 256 points: below one float step of stop 1e\+15"):
+            solver.solve(u0, SolverConfig(t_end=1e15))
 
     @pytest.mark.parametrize("records", [True, False])
     def test_overflowing_scale_aborts(self, records):
@@ -382,17 +390,19 @@ class TestWorkingGrid:
     @pytest.mark.parametrize("n, halves", [(132, [66]), (196, [98]), (130, [])], ids=["132", "196", "130"])
     def test_grid_not_a_power_of_two(self, monkeypatch, tmp_path, n, halves):
         # the working grid stays n / 2^j and even: 132 and 196 halve once,
-        # 130 never; each run gives the fixed grid's steps and snapshots
+        # 130 never; each run takes the steps of a fixed grid of the size it
+        # works on, and its snapshots are that grid's at every point it shares
         sizes = step_sizes(monkeypatch)
         assert run_cli("solve", "--out", str(tmp_path / "w"), "--set", f"grid.n={n}") == (0, "")
         assert sorted(set(sizes) - {n}) == halves
+        m = halves[-1] if halves else n
         working, sizes[:] = list(sizes), []
-        monkeypatch.setattr(solver, "GRID_MIN", n)
-        assert run_cli("solve", "--out", str(tmp_path / "f"), "--set", f"grid.n={n}") == (0, "")
-        assert set(sizes) == {n} and len(sizes) == len(working)
+        monkeypatch.setattr(solver, "GRID_MIN", m)
+        assert run_cli("solve", "--out", str(tmp_path / "f"), "--set", f"grid.n={m}") == (0, "")
+        assert set(sizes) == {m} and len(sizes) == len(working)
         for (t, a), (s, b) in zip(*(cli.read_snapshot_csv(str(tmp_path / d / "snapshots.csv")) for d in "wf")):
             assert t == s
-            np.testing.assert_allclose(a.values, b.values, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(a.values[:: n // m], b.values, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1826701615])
     @pytest.mark.parametrize("delta", [0.0, 1e-3])
@@ -422,8 +432,32 @@ class TestWorkingGrid:
             return spectral.from_spectrum(v.grid, c)
 
         monkeypatch.setattr(solver, "step", kicked)
-        solver.solve(cosine_datum(PeriodicGrid(256)), SolverConfig(t_end=0.05), records=False)
+        solver.solve(cosine_datum(PeriodicGrid(256)), SolverConfig(t_end=0.15), records=False)
         assert sizes[:4] == [64, 64, 64, 128]
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_dt_is_the_working_grids_bound(self, monkeypatch, delta):
+        # each step takes stable_dt of the field it steps, with that field's
+        # own kmax and dx, or lands on a stop short of it
+        cfg = SolverConfig(delta=delta, t_end=1.0, cfl=0.4, snapshot_times=(0.1, 0.5))
+        steps = []
+        real_step = solver.step
+        monkeypatch.setattr(solver, "step", lambda u, dt, c, t: steps.append((u, dt, t)) or real_step(u, dt, c, t))
+        solver.solve(solver.rough_initial_data(PeriodicGrid(2048), seed=0), cfg, records=False)
+        assert len({u.grid.n for u, _, _ in steps}) >= 2
+        for u, dt, t in steps:
+            bound = solver.stable_dt(u, cfg)
+            assert dt == bound or (dt < bound and any(dt == stop - t for stop in (0.1, 0.5, 1.0)))
+
+    @pytest.mark.parametrize("delta, most", [(0.0, 350), (1e-3, 150)])
+    def test_step_count_follows_the_working_grid(self, monkeypatch, delta, most):
+        # rough seed 0 on 2048 points to t = 1 takes 337 steps at delta = 0
+        # and 136 at delta = 1e-3, where a dt bound of the user grid takes
+        # 720 and 716
+        sizes = step_sizes(monkeypatch)
+        cfg = SolverConfig(delta=delta, t_end=1.0, cfl=0.4, snapshot_times=(0.25, 0.5, 0.75))
+        solver.solve(solver.rough_initial_data(PeriodicGrid(2048), seed=0), cfg, records=False)
+        assert len(sizes) <= most
 
     def test_dt_max_sets_the_fixed_grid_step_count(self, monkeypatch):
         # dt_max is not scaled with the working grid: a run it limits takes
